@@ -8,7 +8,7 @@ GO ?= go
 
 .PHONY: check build vet test race bench bench-smoke bench-json bench-compare \
 	alloc-guard check-protocol check-policies fuzz-smoke resilience-smoke \
-	serve-smoke crash-smoke batched-equality update-golden fmt all-quick
+	serve-smoke crash-smoke update-golden fmt all-quick
 
 check: build vet race alloc-guard bench-smoke check-protocol
 
@@ -62,9 +62,9 @@ resilience-smoke:
 	@grep -c '"kind": "panic"' /tmp/resilience-smoke.json | grep -qx 1
 	@echo "resilience smoke: 1 injected panic recorded, sweep degraded cleanly"
 
-# Live-observability smoke: a served headline sweep (-j 4, -j-intra 2)
-# must expose well-formed OpenMetrics with the sim_windows and
-# sweep_failures series, /status JSON, an SSE stream, and pprof.
+# Live-observability smoke: a served headline sweep (-j 4) must expose
+# well-formed OpenMetrics with the noc_packets and sweep_failures
+# series, /status JSON, an SSE stream, and pprof.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
@@ -75,18 +75,6 @@ serve-smoke:
 # EXPERIMENTS.md).
 crash-smoke:
 	sh scripts/crash_smoke.sh
-
-# Batched-sweep equality gate: the variant-batched engine must
-# reproduce the committed golden fixtures at widths 4 and 8 (width 1 is
-# the plain shipped-report test), and a CLI sweep must be
-# byte-identical with batching on and off (only the wall-clock
-# "(elapsed ...)" line may differ).
-batched-equality:
-	$(GO) test -count=1 -run 'TestGoldenShippedRunReports|TestGoldenBatchedWidths' ./internal/check/golden/
-	$(GO) run ./cmd/microbank -exp qos -quick -instr 4000 | grep -v '^(elapsed' > /tmp/batch-off.txt
-	$(GO) run ./cmd/microbank -exp qos -quick -instr 4000 -batch 8 | grep -v '^(elapsed' > /tmp/batch-on.txt
-	cmp /tmp/batch-off.txt /tmp/batch-on.txt
-	@echo "batched equality: qos sweep byte-identical at -batch 0 and 8"
 
 # Short randomized-config fuzz of the sanitizer (CI runs this as a
 # smoke; drop -fuzztime for an open-ended session).

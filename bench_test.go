@@ -185,80 +185,11 @@ func BenchmarkHeadline(b *testing.B) {
 	b.ReportMetric(h.InvEDPGain, "invEDPgain")
 }
 
-// BenchmarkHeadlineRun is the perf-trajectory anchor recorded by
-// `make bench-json`: one multicore headline-class run (the paper's
-// LPDDR-TSI 2×8 configuration under a mixed SPEC profile) timed end to
-// end. It reports simulated-time-per-wall-time so BENCH_<rev>.json can
-// track simulator throughput, not just ns/op.
-func BenchmarkHeadlineRun(b *testing.B) {
-	var simPS sim.Time
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys := config.DefaultSystem(config.MemPreset(config.LPDDRTSI, 2, 8))
-		sys.Cores = 16
-		profs := make([]workload.Profile, sys.Cores)
-		for c := range profs {
-			profs[c] = workload.MustGet([]string{"429.mcf", "470.lbm", "433.milc", "462.libquantum"}[c%4])
-		}
-		spec := system.Spec{Sys: sys, Profiles: profs, InstrPerCore: 8000,
-			WarmupInstr: 4000, Seed: 42}
-		res, err := system.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simPS += res.RuntimePS
-	}
-	b.StopTimer()
-	wall := b.Elapsed().Seconds()
-	if wall > 0 {
-		b.ReportMetric(float64(simPS)*1e-12/wall, "sim_s/wall_s")
-	}
-}
-
-// BenchmarkHeadlineRunIntra8 is BenchmarkHeadlineRun on the windowed
-// parallel engine at 8 intra-run workers (results are bit-identical;
-// TestIntraMatchesSequential and the golden width tests prove it). The
-// speedup over BenchmarkHeadlineRun is the intra-parallelism headline
-// number; `make bench-compare` prints it from two BENCH_<rev>.json
-// snapshots. On hosts with fewer cores the shared worker budget grants
-// fewer threads and the run degrades toward sequential speed.
-func BenchmarkHeadlineRunIntra8(b *testing.B) {
-	var simPS sim.Time
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys := config.DefaultSystem(config.MemPreset(config.LPDDRTSI, 2, 8))
-		sys.Cores = 16
-		profs := make([]workload.Profile, sys.Cores)
-		for c := range profs {
-			profs[c] = workload.MustGet([]string{"429.mcf", "470.lbm", "433.milc", "462.libquantum"}[c%4])
-		}
-		spec := system.Spec{Sys: sys, Profiles: profs, InstrPerCore: 8000,
-			WarmupInstr: 4000, Seed: 42, IntraParallelism: 8}
-		res, err := system.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simPS += res.RuntimePS
-	}
-	b.StopTimer()
-	wall := b.Elapsed().Seconds()
-	if wall > 0 {
-		b.ReportMetric(float64(simPS)*1e-12/wall, "sim_s/wall_s")
-	}
-}
-
-// BenchmarkHeadlineRunLimits is BenchmarkHeadlineRun with the full
-// watchdog armed (context, generous deadline, event budget, livelock
-// detector): comparing the two proves the armed watchdog costs no
-// allocations and under 2% runtime (EXPERIMENTS.md records the
-// measured overhead).
-func BenchmarkHeadlineRunLimits(b *testing.B) {
-	lim := &system.Limits{
-		Ctx:          context.Background(),
-		WallClock:    time.Hour,
-		EventBudget:  1 << 40,
-		StallWindows: 4,
-	}
+// benchHeadline times one multicore headline-class run per iteration
+// (the paper's LPDDR-TSI 2×8 configuration under a mixed SPEC profile)
+// with the given limits attached, and reports simulated-time-per-wall-
+// time so BENCH_<rev>.json tracks simulator throughput, not just ns/op.
+func benchHeadline(b *testing.B, lim *system.Limits) {
 	var simPS sim.Time
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -283,45 +214,30 @@ func BenchmarkHeadlineRunLimits(b *testing.B) {
 	}
 }
 
-// BenchmarkHeadlineRunIntraAuto is BenchmarkHeadlineRun with -j-intra
-// auto: the width resolver estimates the per-domain window occupancy at
-// partition time and must pick the sequential engine whenever the
-// windowed one cannot win, so this benchmark may never be slower than
-// BenchmarkHeadlineRun beyond noise.
-func BenchmarkHeadlineRunIntraAuto(b *testing.B) {
-	var simPS sim.Time
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys := config.DefaultSystem(config.MemPreset(config.LPDDRTSI, 2, 8))
-		sys.Cores = 16
-		profs := make([]workload.Profile, sys.Cores)
-		for c := range profs {
-			profs[c] = workload.MustGet([]string{"429.mcf", "470.lbm", "433.milc", "462.libquantum"}[c%4])
-		}
-		spec := system.Spec{Sys: sys, Profiles: profs, InstrPerCore: 8000,
-			WarmupInstr: 4000, Seed: 42, IntraParallelism: system.IntraAuto}
-		res, err := system.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simPS += res.RuntimePS
-	}
-	b.StopTimer()
-	wall := b.Elapsed().Seconds()
-	if wall > 0 {
-		b.ReportMetric(float64(simPS)*1e-12/wall, "sim_s/wall_s")
-	}
+// BenchmarkHeadlineRun is the perf-trajectory anchor recorded by
+// `make bench-json`: one unbounded headline-class run.
+func BenchmarkHeadlineRun(b *testing.B) { benchHeadline(b, nil) }
+
+// BenchmarkHeadlineRunLimits is BenchmarkHeadlineRun with the full
+// watchdog armed (context, generous deadline, event budget, livelock
+// detector): comparing the two proves the armed watchdog costs no
+// allocations and under 2% runtime (EXPERIMENTS.md records the
+// measured overhead).
+func BenchmarkHeadlineRunLimits(b *testing.B) {
+	benchHeadline(b, &system.Limits{
+		Ctx:          context.Background(),
+		WallClock:    time.Hour,
+		EventBudget:  1 << 40,
+		StallWindows: 4,
+	})
 }
 
-// --- Batched sweep benchmarks ---
+// --- Sweep benchmarks ---
 //
-// The BenchmarkSweepBatched family measures sweep throughput in sweep
-// cells completed per second, the batched engine's headline metric
-// (`benchjson -diff` gates it against regressions). Each pair runs the
-// same sweep with batching off (B1) and at width 8 (B8); results are
-// byte-identical at every width, so the pair isolates the batching
-// machinery itself: shared workload front-end, contiguous bank-state
-// arenas, pooled engines.
+// The BenchmarkSweep family measures sweep throughput in sweep cells
+// completed per second (`benchjson -diff` gates it against
+// regressions). benchOpts leaves Parallelism at zero, so each sweep
+// runs on every CPU.
 
 // benchSweepCells times fn (one whole sweep of `cells` runs) and
 // reports cells/sec.
@@ -338,37 +254,24 @@ func benchSweepCells(b *testing.B, cells int, fn func() error) {
 	}
 }
 
-// fig8SweepCells is the quick Fig. 8 population: 5 workloads (429.mcf,
-// the 3-member spec-high quick set, TPC-H) × the 25-cell (nW,nB) grid.
-const fig8SweepCells = 125
-
-func benchSweepFig8(b *testing.B, batch int) {
-	o := benchOpts
-	o.Batch = batch
-	benchSweepCells(b, fig8SweepCells, func() error {
-		_, err := experiments.Fig8(o)
+// BenchmarkSweepFig8 runs the quick Fig. 8 population: 5 workloads
+// (429.mcf, the 3-member spec-high quick set, TPC-H) × the 25-cell
+// (nW,nB) grid.
+func BenchmarkSweepFig8(b *testing.B) {
+	benchSweepCells(b, 125, func() error {
+		_, err := experiments.Fig8(benchOpts)
 		return err
 	})
 }
 
-func BenchmarkSweepBatchedFig8B1(b *testing.B) { benchSweepFig8(b, 1) }
-func BenchmarkSweepBatchedFig8B8(b *testing.B) { benchSweepFig8(b, 8) }
-
-// qosSweepCells is the QoS matrix population: 3 organizations × 3
-// policies, each a multicore run.
-const qosSweepCells = 9
-
-func benchSweepQoS(b *testing.B, batch int) {
-	o := benchOpts
-	o.Batch = batch
-	benchSweepCells(b, qosSweepCells, func() error {
-		_, err := experiments.QoSSweep(o)
+// BenchmarkSweepQoS runs the QoS matrix population: 3 organizations ×
+// 3 policies, each a multicore run.
+func BenchmarkSweepQoS(b *testing.B) {
+	benchSweepCells(b, 9, func() error {
+		_, err := experiments.QoSSweep(benchOpts)
 		return err
 	})
 }
-
-func BenchmarkSweepBatchedQoSB1(b *testing.B) { benchSweepQoS(b, 1) }
-func BenchmarkSweepBatchedQoSB8(b *testing.B) { benchSweepQoS(b, 8) }
 
 // --- Substrate microbenchmarks ---
 

@@ -28,7 +28,7 @@ import (
 
 // benchPattern selects the trajectory set: every engine microbenchmark,
 // the controller's best/eval/formBatch loops, the end-to-end headline
-// run anchor, and the batched-sweep throughput family.
+// run anchor, and the sweep throughput family.
 const benchPattern = "BenchmarkEngine|BenchmarkBest|BenchmarkEval|BenchmarkFormBatch|BenchmarkHeadlineRun|BenchmarkSweep"
 
 var benchPackages = []string{"./internal/sim", "./internal/memctrl", "."}
@@ -43,9 +43,8 @@ type Result struct {
 	Metrics  map[string]float64 `json:"metrics,omitempty"`
 }
 
-// File is the BENCH_<rev>.json schema. Batch and JIntra record the
-// -batch / -j-intra settings the recorded benchmark set exercised, so a
-// snapshot states which engine configurations its numbers cover.
+// File is the BENCH_<rev>.json schema. Older snapshots also carry
+// "batch" and "j_intra" header fields; decoding ignores them.
 type File struct {
 	Rev        string   `json:"rev"`
 	Dirty      bool     `json:"dirty"`
@@ -54,8 +53,6 @@ type File struct {
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
 	BenchTime  string   `json:"benchtime"`
-	Batch      string   `json:"batch,omitempty"`
-	JIntra     string   `json:"j_intra,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -67,8 +64,6 @@ func main() {
 	allowMissing := flag.Bool("allow-missing", false, "with -diff: benchmarks dropped from NEW are reported but do not fail the comparison")
 	maxRegress := flag.Float64("max-regress", 0, "with -diff: fail if a gated benchmark regresses by more than this percent (0 = report only)")
 	gateMetric := flag.String("gate-metric", "ns", "with -diff -max-regress: metric to gate on: ns | allocs | cells (cells/sec; a decrease is the regression)")
-	batchHdr := flag.String("batch", "1,8", "-batch widths the recorded benchmark set exercises (snapshot header only)")
-	jIntraHdr := flag.String("j-intra", "0,8,auto", "-j-intra widths the recorded benchmark set exercises (snapshot header only)")
 	gateMatch := flag.String("gate-match", "", "with -diff -max-regress: regexp of benchmark names to gate (empty = all)")
 	flag.Parse()
 
@@ -114,8 +109,6 @@ func main() {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		BenchTime:  *benchtime,
-		Batch:      *batchHdr,
-		JIntra:     *jIntraHdr,
 		Benchmarks: parse(&buf),
 	}
 	if len(f.Benchmarks) == 0 {

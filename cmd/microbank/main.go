@@ -19,7 +19,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -45,8 +44,6 @@ func main() {
 		quick  = flag.Bool("quick", false, "reduced workload sets and budgets")
 		seed   = flag.Int64("seed", 42, "simulation seed")
 		jobs   = flag.Int("j", 0, "parallel simulations per sweep (0 = all cores); output is identical at any -j")
-		jIntra = flag.String("j-intra", "0", "worker threads inside each eligible simulation (windowed parallel engine), or 'auto' to pick per run; output is identical at any width")
-		batch  = flag.Int("batch", 0, "advance up to B compatible sweep cells as one variant-batched lockstep run; results are byte-identical at any width (<=1 = off)")
 		beta   = flag.Float64("beta", 1.0, "activates per column access for fig1/fig6b")
 		wl     = flag.String("workload", "429.mcf", "workload for -exp run")
 		nw     = flag.Int("nw", 1, "wordline partitions for -exp run")
@@ -81,13 +78,8 @@ func main() {
 	)
 	flag.Parse()
 
-	intraWidth, err := parseJIntra(*jIntra)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "microbank:", err)
-		os.Exit(1)
-	}
 	o := experiments.Options{Instr: *instr, Cores: *cores, Quick: *quick, Seed: *seed,
-		Parallelism: *jobs, IntraParallelism: intraWidth, Batch: *batch, Exp: *exp}
+		Parallelism: *jobs, Exp: *exp}
 	if *progress {
 		o.Progress = heartbeat()
 	}
@@ -239,20 +231,6 @@ func main() {
 // buildResilience turns the resilience flags into an armed
 // *experiments.Resilience (nil when no flag asks for one, keeping the
 // zero-overhead fail-fast path) plus a journal-close function.
-// parseJIntra resolves the -j-intra flag: a numeric width, or "auto"
-// to let each run estimate whether the windowed engine can beat the
-// sequential one (system.IntraAuto).
-func parseJIntra(s string) (int, error) {
-	if s == "auto" {
-		return system.IntraAuto, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("invalid -j-intra %q: want a width or 'auto'", s)
-	}
-	return n, nil
-}
-
 func buildResilience(exp string, o experiments.Options, failMode string, retries int,
 	timeout time.Duration, eventBudget uint64, journalPath, storeDir string, resume bool,
 	inject string) (*experiments.Resilience, func() error, error) {
@@ -550,42 +528,24 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 	spec := system.UniformSpec(sys, prof, o.Instr, o.Seed)
 	spec.WarmupInstr = o.Instr / 2
 	spec.Limits = o.Res.RunLimits(o.Ctx)
-	spec.IntraParallelism = o.IntraParallelism
 
 	agg := o.Agg
 	var (
 		observer *obs.Observer
 		sampler  *obs.Sampler
 		tracer   *obs.ChromeTracer
-		winTrace bool
 		checker  *check.Checker
 	)
-	// A sampler or DRAM-command tracer attaches to the simulation loop
-	// and forces the windowed engine's sequential fallback, so the
-	// -serve live epoch stream only enables sampling when the run is
-	// sequential anyway (-j-intra <= 1, or -metrics-out / -check already
-	// forced the fallback).
-	sequentialObs := of.metrics != "" || of.check != "off" || spec.IntraParallelism <= 1
 	if of.trace != "" || of.metrics != "" || of.check != "off" || agg != nil {
 		observer = obs.NewObserver()
-		if of.metrics != "" || (agg != nil && sequentialObs) {
+		if of.metrics != "" || agg != nil {
 			if of.epochCycles == 0 {
 				return fmt.Errorf("-epoch must be positive")
 			}
 			sampler = observer.EnableSampling(sim.Time(of.epochCycles) * sys.CoreClock().Period())
 		}
 		if of.trace != "" {
-			if sequentialObs {
-				tracer = observer.EnableChromeTrace()
-			} else {
-				// Parallel run: a DRAM-command tracer would force the
-				// sequential fallback, so the same artifact records the
-				// windowed engine instead — per-window spans per domain
-				// plus barrier spans. -j-intra 1 restores command traces.
-				tracer = obs.NewChromeTracer()
-				spec.WinTrace = tracer
-				winTrace = true
-			}
+			tracer = observer.EnableChromeTrace()
 		}
 		switch of.check {
 		case "off":
@@ -608,15 +568,9 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 	if agg != nil {
 		aggSweep = agg.BeginSweep(1)
 		agg.CellStarted(aggSweep, 0)
-		if sampler != nil {
-			sweep := aggSweep
-			sampler.OnSample = func(at sim.Time, names []string, row []float64) {
-				agg.PublishEpoch(sweep, 0, uint64(at), names, row)
-			}
-		} else {
-			fmt.Fprintln(os.Stderr, "microbank: -serve: live epoch stream off"+
-				" (-j-intra > 1 keeps the run parallel); watchdog diagnostics"+
-				" and final metrics still served")
+		sweep := aggSweep
+		sampler.OnSample = func(at sim.Time, names []string, row []float64) {
+			agg.PublishEpoch(sweep, 0, uint64(at), names, row)
 		}
 		// OnDiag alone arms only the watchdog's reporting cadence — it
 		// cannot trip a limit, so serving a run never fails it.
@@ -670,11 +624,7 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 		if werr != nil {
 			return werr
 		}
-		what := "DRAM commands"
-		if winTrace {
-			what = "window spans"
-		}
-		fmt.Printf("wrote %s (%d %s, %d bytes)\n", of.trace, tracer.Len(), what, n)
+		fmt.Printf("wrote %s (%d DRAM commands, %d bytes)\n", of.trace, tracer.Len(), n)
 	}
 	if sampler != nil && of.metrics != "" {
 		if werr := writeMetricsFile(sampler, of.metrics, report); werr != nil {

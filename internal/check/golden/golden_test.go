@@ -108,70 +108,21 @@ func TestGoldenObservedMatchesUnobserved(t *testing.T) {
 	}
 }
 
-// TestGoldenIntraParallelWidths asserts the windowed parallel engine
-// reproduces every shipped configuration's committed fixture bytes at
-// several intra-run widths — the bit-exactness acceptance gate. The
-// runs are unobserved (a tracer forces the sequential fallback);
-// TestGoldenObservedMatchesUnobserved legitimizes comparing them
-// against the observed-run fixtures.
-func TestGoldenIntraParallelWidths(t *testing.T) {
-	widths := []int{1, 2, 4, runtime.NumCPU()}
+// TestGoldenUnobservedRunReports asserts every shipped configuration
+// reproduces its committed fixture without the checker, tracer and
+// sampler attached too. TestGoldenShippedRunReports pins the observed
+// runs; together they prove observation never moves any fixture, not
+// just the one configuration TestGoldenObservedMatchesUnobserved
+// compares directly.
+func TestGoldenUnobservedRunReports(t *testing.T) {
 	for _, sc := range experiments.ShippedConfigs() {
 		sc := sc
 		t.Run(sc.Name(), func(t *testing.T) {
 			t.Parallel()
-			for _, w := range widths {
-				sys := config.SingleCore(sc.Mem())
-				spec := system.UniformSpec(sys, workload.MustGet("429.mcf"), goldenInstr, 42)
-				spec.WarmupInstr = goldenInstr / 2
-				spec.IntraParallelism = w
-				res, err := system.Run(spec)
-				if err != nil {
-					t.Fatalf("%s width %d: %v", sc.Name(), w, err)
-				}
-				got := reportBytes(t, "golden run: "+sc.Name(), res)
-				golden.Check(t, "testdata/run_"+sc.Name()+".json", got)
-			}
+			res := runShipped(t, sc, false)
+			got := reportBytes(t, "golden run: "+sc.Name(), res)
+			golden.Check(t, "testdata/run_"+sc.Name()+".json", got)
 		})
-	}
-}
-
-// TestGoldenBatchedWidths asserts the variant-batched engine
-// reproduces every shipped configuration's committed fixture bytes at
-// batch widths 4 and 8 — the batched bit-exactness acceptance gate.
-// The shipped configurations all share one workload definition
-// (429.mcf, seed 42, the golden budget), so they are exactly the kind
-// of sweep cells -batch groups. Like the intra-parallel gate, the runs
-// are unobserved and lean on TestGoldenObservedMatchesUnobserved to
-// compare against the observed-run fixtures.
-func TestGoldenBatchedWidths(t *testing.T) {
-	t.Parallel()
-	shipped := experiments.ShippedConfigs()
-	for _, width := range []int{4, 8} {
-		for lo := 0; lo < len(shipped); lo += width {
-			hi := lo + width
-			if hi > len(shipped) {
-				hi = len(shipped)
-			}
-			specs := make([]system.Spec, 0, hi-lo)
-			for _, sc := range shipped[lo:hi] {
-				sys := config.SingleCore(sc.Mem())
-				spec := system.UniformSpec(sys, workload.MustGet("429.mcf"), goldenInstr, 42)
-				spec.WarmupInstr = goldenInstr / 2
-				specs = append(specs, spec)
-			}
-			for m, br := range system.RunBatch(specs) {
-				sc := shipped[lo+m]
-				if br.Panic != nil {
-					t.Fatalf("B=%d %s: batched run panicked: %v", width, sc.Name(), br.Panic)
-				}
-				if br.Err != nil {
-					t.Fatalf("B=%d %s: %v", width, sc.Name(), br.Err)
-				}
-				got := reportBytes(t, "golden run: "+sc.Name(), br.Res)
-				golden.Check(t, "testdata/run_"+sc.Name()+".json", got)
-			}
-		}
 	}
 }
 

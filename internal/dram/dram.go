@@ -146,48 +146,8 @@ type Channel struct {
 	RowConflicts uint64 // open row had to be closed first
 }
 
-// BanksPerChannel returns the number of bank-state slots NewChannel
-// allocates for cfg: independently schedulable row buffers, i.e.
-// (μ)banks times subarrays. Batched builds use it to size an Arena.
-func BanksPerChannel(cfg config.Mem) int {
-	return cfg.Org.RanksPerChan * cfg.Org.BanksPerRank * cfg.Org.NW * cfg.Org.NB * cfg.Org.Subarrays()
-}
-
-// Arena is a contiguous backing slab for the bank-state arrays of a
-// batch of variant channels. Carving every variant's banks out of one
-// allocation lays the batch's hottest per-bank state out
-// variant-major — `[variant][bank]` — so the lockstep driver sweeps
-// adjacent memory instead of pointer-chasing B separately allocated
-// heaps. Size it with BanksPerChannel summed over every channel of
-// every variant; an undersized arena stays correct (overflow slices
-// fall back to private allocations) but loses contiguity.
-type Arena struct {
-	banks []bankState
-	used  int
-}
-
-// NewArena reserves bankSlots bank-state records.
-func NewArena(bankSlots int) *Arena {
-	return &Arena{banks: make([]bankState, bankSlots)}
-}
-
-// take carves n zeroed records. Arenas are built per batch and never
-// recycled, so the slab is zero-valued by construction.
-func (a *Arena) take(n int) []bankState {
-	if a == nil || a.used+n > len(a.banks) {
-		return make([]bankState, n)
-	}
-	s := a.banks[a.used : a.used+n : a.used+n]
-	a.used += n
-	return s
-}
-
 // NewChannel builds a channel for the given memory configuration.
-func NewChannel(cfg config.Mem) *Channel { return NewChannelWith(cfg, nil) }
-
-// NewChannelWith is NewChannel with the bank-state array carved from
-// arena (nil behaves exactly like NewChannel).
-func NewChannelWith(cfg config.Mem, arena *Arena) *Channel {
+func NewChannel(cfg config.Mem) *Channel {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("dram: invalid config: %v", err))
 	}
@@ -195,7 +155,7 @@ func NewChannelWith(cfg config.Mem, arena *Arena) *Channel {
 	nBanks := cfg.Org.RanksPerChan * cfg.Org.BanksPerRank * cfg.Org.NW * cfg.Org.NB * subs
 	c := &Channel{
 		cfg:     cfg,
-		banks:   arena.take(nBanks),
+		banks:   make([]bankState, nBanks),
 		ranks:   make([]rankState, cfg.Org.RanksPerChan),
 		subs:    subs,
 		rankDiv: cfg.Org.BanksPerRank * cfg.Org.NW * cfg.Org.NB * subs,

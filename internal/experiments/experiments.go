@@ -53,12 +53,6 @@ type Options struct {
 	// results are reduced in job order, so output is byte-identical
 	// at every width.
 	Parallelism int
-	// IntraParallelism requests the windowed parallel engine inside
-	// each eligible simulation (the -j-intra flag): results are
-	// bit-identical to sequential runs at any width. Extra workers are
-	// borrowed from a process-wide budget shared with the sweep pool,
-	// so -j and -j-intra compose without oversubscribing the host.
-	IntraParallelism int
 	// Progress, when non-nil, is invoked after each completed
 	// simulation of a sweep with the number done so far and the sweep
 	// total (the -progress heartbeat). It is called from worker
@@ -70,18 +64,6 @@ type Options struct {
 	// journaled resume. Nil selects the original fail-fast path with
 	// zero overhead.
 	Res *Resilience
-	// Batch groups up to this many compatible sweep cells into one
-	// variant-batched lockstep run (the -batch flag): members share one
-	// deterministic workload front-end and a contiguous bank-state
-	// arena while every member's Result stays byte-identical to its
-	// standalone sequential run. Cells the batch engine cannot cover
-	// (custom observers, intra-parallel-eligible runs, incompatible
-	// neighbors) fall back to standalone runs inside the group. Batch
-	// composes with Parallelism — each worker advances one group — and
-	// with the journal, which stays keyed per cell. Zero or one
-	// disables batching. Sweeps that are not spec-expressible (agg
-	// observation, bespoke reductions) ignore it.
-	Batch int
 	// Exp names the running experiment for profiling: every sweep cell
 	// executes under runtime/pprof labels (exp, cell, variant) so CPU
 	// profiles of a sweep attribute samples to individual cells.
@@ -91,8 +73,8 @@ type Options struct {
 	// snapshot merges into the aggregator at the cell boundary, and
 	// progress/failure/retry events stream to it as they happen.
 	// Observation is read-only and per-cell registries stay
-	// registry-only (no sampler/tracer), so results — and intra-parallel
-	// eligibility — are untouched. Nil costs nothing.
+	// registry-only (no sampler/tracer), so results are untouched. Nil
+	// costs nothing.
 	Agg *obs.Aggregator
 }
 
@@ -133,47 +115,34 @@ var Axis = []int{1, 2, 4, 8, 16}
 var RepresentativeConfigs = [][2]int{{1, 1}, {2, 8}, {4, 4}, {8, 2}}
 
 // runEnv is the per-cell execution environment mapRuns hands its run
-// callback: the cell's limits (resilient sweeps), when a campaign
-// aggregator is attached the cell's registry-only observer, and the
-// cell's campaign-global index (sweep base + cell — what limitsFor and
-// fault injection key on). The zero value reproduces the
-// pre-observability behavior exactly.
+// callback: the cell's limits (resilient sweeps) and, when a campaign
+// aggregator is attached, the cell's registry-only observer. The zero
+// value reproduces the pre-observability behavior exactly.
 type runEnv struct {
-	lim  *system.Limits
-	obs  *obs.Observer
-	cell int
+	lim *system.Limits
+	obs *obs.Observer
 }
 
-// specSingle builds the spec for a single-core, single-channel run
-// (the paper's setup for single-threaded SPEC and DB workloads).
-// Everything that determines results is set here; the per-cell
-// environment (limits, observer) is layered on by the caller.
-func specSingle(name string, iface config.Interface, nW, nB int,
-	mut func(*config.System), o Options) system.Spec {
+// runSingle executes a single-core, single-channel run (the paper's
+// setup for single-threaded SPEC and DB workloads). env carries the
+// cell's limits (watchdog deadline / event budget / cancellation) and
+// optional observer.
+func runSingle(name string, iface config.Interface, nW, nB int,
+	mut func(*config.System), o Options, env runEnv) (system.Result, error) {
 	sys := config.SingleCore(config.MemPreset(iface, nW, nB))
 	if mut != nil {
 		mut(&sys)
 	}
 	spec := system.UniformSpec(sys, workload.MustGet(name), o.Instr, o.Seed)
 	spec.WarmupInstr = o.Instr / 2
-	spec.IntraParallelism = o.IntraParallelism
-	return spec
-}
-
-// runSingle executes specSingle under the cell's environment (watchdog
-// deadline / event budget / cancellation, optional observer).
-func runSingle(name string, iface config.Interface, nW, nB int,
-	mut func(*config.System), o Options, env runEnv) (system.Result, error) {
-	spec := specSingle(name, iface, nW, nB, mut, o)
 	spec.Limits = env.lim
 	spec.Obs = env.obs
 	return system.Run(spec)
 }
 
-// specMulti builds the spec for a multicore run with the full channel
-// population.
-func specMulti(profileFor func(core int) workload.Profile, iface config.Interface,
-	nW, nB int, mut func(*config.System), o Options) system.Spec {
+// runMulti executes a multicore run with the full channel population.
+func runMulti(profileFor func(core int) workload.Profile, iface config.Interface,
+	nW, nB int, mut func(*config.System), o Options, env runEnv) (system.Result, error) {
 	sys := config.DefaultSystem(config.MemPreset(iface, nW, nB))
 	sys.Cores = o.Cores
 	if mut != nil {
@@ -190,17 +159,8 @@ func specMulti(profileFor func(core int) workload.Profile, iface config.Interfac
 	if instr < 4000 {
 		instr = 4000
 	}
-	return system.Spec{Sys: sys, Profiles: profs, InstrPerCore: instr,
-		WarmupInstr: instr / 2, Seed: o.Seed,
-		IntraParallelism: o.IntraParallelism}
-}
-
-// runMulti executes specMulti under the cell's environment.
-func runMulti(profileFor func(core int) workload.Profile, iface config.Interface,
-	nW, nB int, mut func(*config.System), o Options, env runEnv) (system.Result, error) {
-	spec := specMulti(profileFor, iface, nW, nB, mut, o)
-	spec.Limits = env.lim
-	spec.Obs = env.obs
+	spec := system.Spec{Sys: sys, Profiles: profs, InstrPerCore: instr,
+		WarmupInstr: instr / 2, Seed: o.Seed, Limits: env.lim, Obs: env.obs}
 	return system.Run(spec)
 }
 
@@ -314,16 +274,6 @@ type cellMetrics struct {
 // records, and under collect/degrade the sweep completes with failed
 // cells marked true in the mask (their Result is the zero value).
 func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Result, error)) ([]system.Result, []bool, error) {
-	return mapRunsIdx(o, jobs, func(env runEnv, _ int, j J) (system.Result, error) {
-		return run(env, j)
-	})
-}
-
-// mapRunsIdx is mapRuns with the cell index handed to the callback —
-// the batched sweep path (mapSpecRuns) needs it to locate the cell's
-// lockstep group. Everything observable (digests, journal keys, error
-// bytes, reduction order) is identical to mapRuns.
-func mapRunsIdx[J any](o Options, jobs []J, run func(env runEnv, i int, j J) (system.Result, error)) ([]system.Result, []bool, error) {
 	total := len(jobs)
 	var done atomic.Int64
 	note := func() {
@@ -337,21 +287,21 @@ func mapRunsIdx[J any](o Options, jobs []J, run func(env runEnv, i int, j J) (sy
 		aggSweep = agg.BeginSweep(total)
 	}
 	// cellRun wraps run with the aggregator's cell lifecycle: a fresh
-	// registry-only observer per cell (observation is read-only and
-	// keeps intra-parallel eligibility), with the boundary snapshot
-	// merged on success. With no aggregator the env is zero and this is
-	// the old call verbatim. g is the campaign-global cell index. Every
-	// cell executes under pprof labels so a CPU profile of a sweep
-	// attributes samples to individual cells and variants.
+	// registry-only observer per cell (observation is read-only), with
+	// the boundary snapshot merged on success. With no aggregator the
+	// env is zero and this is the old call verbatim. g is the
+	// campaign-global cell index. Every cell executes under pprof labels
+	// so a CPU profile of a sweep attributes samples to individual cells
+	// and variants.
 	cellRun := func(lim *system.Limits, g, i int, j J) (res system.Result, err error) {
-		env := runEnv{lim: lim, cell: g}
+		env := runEnv{lim: lim}
 		if agg != nil {
 			env.obs = obs.NewObserver()
 			agg.CellStarted(aggSweep, i)
 		}
 		pprof.Do(context.Background(), pprof.Labels(
 			"exp", o.Exp, "cell", strconv.Itoa(g), "variant", fmt.Sprintf("%+v", j)),
-			func(context.Context) { res, err = run(env, i, j) })
+			func(context.Context) { res, err = run(env, j) })
 		if agg != nil && err == nil {
 			agg.CellDone(aggSweep, i, env.obs.Registry.Gather())
 		}
@@ -480,13 +430,13 @@ func runGridCells(name string, o Options) (map[[2]int]cellMetrics, map[[2]int]bo
 			jobs = append(jobs, [2]int{nW, nB})
 		}
 	}
-	results, failed, err := mapSpecRuns(o, jobs,
-		func(cfg [2]int) system.Spec {
-			return specSingle(name, config.LPDDRTSI, cfg[0], cfg[1], nil, o)
-		},
-		func(cfg [2]int, rerr error) error {
-			return fmt.Errorf("%s (%d,%d): %w", name, cfg[0], cfg[1], rerr)
-		})
+	results, failed, err := mapRuns(o, jobs, func(env runEnv, cfg [2]int) (system.Result, error) {
+		res, rerr := runSingle(name, config.LPDDRTSI, cfg[0], cfg[1], nil, o, env)
+		if rerr != nil {
+			return system.Result{}, fmt.Errorf("%s (%d,%d): %w", name, cfg[0], cfg[1], rerr)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -74,16 +74,16 @@ func QoSSweep(o Options) ([]QoSRow, error) {
 			jobs = append(jobs, job{oi, pi})
 		}
 	}
-	results, failed, err := mapSpecRuns(o, jobs, func(j job) system.Spec {
+	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
 		org, pol := orgs[j.org], policies[j.pol]
-		return specMulti(workload.MixHigh().ForCore, config.LPDDRTSI, org.nw, org.nb,
+		return runMulti(workload.MixHigh().ForCore, config.LPDDRTSI, org.nw, org.nb,
 			func(s *config.System) {
 				s.Mem.Org.Channels = 2 // concentrate interference
 				s.Mem.Org.SubarraysPerBank = org.subs
 				s.Ctrl.Scheduler = pol.sched
 				s.Ctrl.BankBudget = pol.budget
-			}, o)
-	}, nil)
+			}, o, env)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -44,32 +44,44 @@ func headlineReport(t *testing.T, o Options) []byte {
 	return b
 }
 
-// TestIntraParallelSweepResilience drives the windowed parallel engine
-// through the fault-injection sweep: sweep-level workers and intra-run
-// workers share the host worker budget while an injected limit trips.
-// The degraded report — healthy gains plus the failure record with its
-// diagnostic snapshot — must be byte-identical across intra widths
-// (barriers are the watchdog granularity and the window sequence is
-// width-independent, so the trip point is too). Under -race this is
-// the windowed engine's CI concurrency exercise.
-func TestIntraParallelSweepResilience(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
-	mk := func(intra int) []byte {
+// TestSweepWidthResilience drives the fault-injection sweep at several
+// sweep widths while an injected limit trips. The degraded report —
+// healthy gains plus the failure record with its diagnostic snapshot —
+// must be byte-identical at every width: cells carry explicit seeds,
+// results reduce in job order, and the trip point depends only on
+// simulation state. Under -race this is the sweep pool's concurrency
+// exercise on the resilient path.
+func TestSweepWidthResilience(t *testing.T) {
+	mk := func(width int) []byte {
 		res := &Resilience{Mode: parallel.FailDegrade}
 		if err := res.SetInject("timeout:3"); err != nil {
 			t.Fatal(err)
 		}
 		o := resOpts(res)
-		o.IntraParallelism = intra
-		return headlineReport(t, o)
+		o.Parallelism = width
+		h, err := Headline(o)
+		if err != nil {
+			t.Fatalf("width %d: Headline: %v", width, err)
+		}
+		// The report header records the width; render every run under
+		// the same header so only the results are compared.
+		rep := NewReport("headline", resOpts(res))
+		rep.SetMetric("ipc_gain", h.IPCGain)
+		rep.SetMetric("inv_edp_gain", h.InvEDPGain)
+		rep.AddFailures(res.Log)
+		b, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	want := mk(2)
+	want := mk(1)
+	if !bytes.Contains(want, []byte(`"kind": "deadline"`)) {
+		t.Fatalf("injected timeout left no deadline failure in the report:\n%s", want)
+	}
 	for _, w := range []int{4, runtime.NumCPU() + 1} {
 		if got := mk(w); !bytes.Equal(got, want) {
-			t.Fatalf("intra width %d report drifted from width 2:\n%s", w, golden.Diff(want, got))
+			t.Fatalf("sweep width %d report drifted from width 1:\n%s", w, golden.Diff(want, got))
 		}
 	}
 }

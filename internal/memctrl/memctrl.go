@@ -203,51 +203,9 @@ type Controller struct {
 	OnRetire func(*Request)
 }
 
-// Arena is the batched-build backing store for per-variant controller
-// and DRAM bank state: one contiguous bankCtl slab (variant-major,
-// `[variant][bank]`, mirroring dram.Arena) plus the DRAM arena the
-// channels carve from. Size bankSlots as dram.BanksPerChannel summed
-// over every channel of every batch variant.
-type Arena struct {
-	dram  *dram.Arena
-	banks []bankCtl
-	used  int
-}
-
-// NewArena reserves bankSlots controller-bank and DRAM-bank records.
-func NewArena(bankSlots int) *Arena {
-	return &Arena{dram: dram.NewArena(bankSlots), banks: make([]bankCtl, bankSlots)}
-}
-
-// take carves n zeroed bankCtl records; overflow (an undersized
-// reservation) falls back to a private allocation and only costs
-// contiguity. Arenas are per-batch and never recycled, so slab records
-// are zero-valued by construction.
-func (a *Arena) take(n int) []bankCtl {
-	if a == nil || a.used+n > len(a.banks) {
-		return make([]bankCtl, n)
-	}
-	s := a.banks[a.used : a.used+n : a.used+n]
-	a.used += n
-	return s
-}
-
-func (a *Arena) dramArena() *dram.Arena {
-	if a == nil {
-		return nil
-	}
-	return a.dram
-}
-
 // New builds a controller over a fresh DRAM channel. threads sizes the
 // global predictor table.
 func New(eng *sim.Engine, mem config.Mem, ctl config.Ctrl, threads int) *Controller {
-	return NewWith(eng, mem, ctl, threads, nil)
-}
-
-// NewWith is New with the controller's and channel's bank-state arrays
-// carved from arena (nil behaves exactly like New).
-func NewWith(eng *sim.Engine, mem config.Mem, ctl config.Ctrl, threads int, arena *Arena) *Controller {
 	if threads <= 0 {
 		threads = 1
 	}
@@ -262,13 +220,13 @@ func NewWith(eng *sim.Engine, mem config.Mem, ctl config.Ctrl, threads int, aren
 	if err != nil {
 		panic(fmt.Sprintf("memctrl: %v", err))
 	}
-	ch := dram.NewChannelWith(mem, arena.dramArena())
+	ch := dram.NewChannel(mem)
 	c := &Controller{
 		eng:             eng,
 		ch:              ch,
 		mapper:          mapper,
 		cfg:             ctl,
-		banks:           arena.take(ch.NumBanks()),
+		banks:           make([]bankCtl, ch.NumBanks()),
 		pred:            newPagePredictor(ch.NumBanks(), threads),
 		winners:         newWinners(ch.NumBanks()),
 		passBanks:       make([]int, 0, ctl.QueueDepth),

@@ -136,20 +136,9 @@ func (m *Mesh) claimLink(link int, t, ser sim.Time) sim.Time {
 // pays one hop of router latency. The XY walk claims links in place
 // rather than materializing a Path slice, so sending allocates nothing.
 func (m *Mesh) Send(src, dst, bytes int, deliver func(at sim.Time)) {
-	t := m.RouteAt(m.eng.Now(), src, dst, bytes)
-	m.eng.ScheduleArg(t, deliverCb, deliver)
-}
-
-// RouteAt advances counters and link reservations for a packet sent at
-// the given instant and returns its delivery time, scheduling nothing.
-// It is Send minus the delivery event: the windowed parallel runner
-// replays deferred sends through it at barriers, in the exact order
-// the sequential engine would have issued them, so link contention and
-// the mesh statistics evolve identically. Callers must present sends
-// in nondecreasing claim order (sequential Send does so trivially).
-func (m *Mesh) RouteAt(now sim.Time, src, dst, bytes int) sim.Time {
 	m.check(src)
 	m.check(dst)
+	now := m.eng.Now()
 	m.Packets++
 	m.BytesSent += uint64(bytes)
 	ser := sim.Time(float64(bytes)/m.linkBWps + 0.5)
@@ -181,7 +170,7 @@ func (m *Mesh) RouteAt(now sim.Time, src, dst, bytes int) sim.Time {
 	if hops == 0 {
 		t = now + m.hop
 	}
-	return t
+	m.eng.ScheduleArg(t, deliverCb, deliver)
 }
 
 // Latency returns the uncongested latency for a packet between two

@@ -21,10 +21,6 @@ import (
 // Dropped.
 const defaultMaxTraceEvents = 4 << 20
 
-// spanPidBase keeps parallel-window span pids clear of DRAM channel
-// pids in the rendered trace (channels are small non-negative ints).
-const spanPidBase = int32(1000)
-
 // cmdRec is one buffered command event.
 type cmdRec struct {
 	issue    uint64
@@ -34,24 +30,6 @@ type cmdRec struct {
 	bank     int32
 	kind     CmdKind
 }
-
-// spanRec is one buffered parallel-engine span: a window's work on one
-// domain (kind spanWindow: a = events fired in the window) or the
-// barrier that closed a window (kind spanBarrier: a = cross-domain
-// messages spliced, b = host nanoseconds the coordinator waited).
-type spanRec struct {
-	start, end uint64 // sim ps
-	window     uint64
-	a, b       uint64
-	pid        int32
-	kind       uint8
-}
-
-// Span kinds.
-const (
-	spanWindow uint8 = iota
-	spanBarrier
-)
 
 // ChromeTracer implements Tracer by buffering events in memory.
 type ChromeTracer struct {
@@ -63,7 +41,6 @@ type ChromeTracer struct {
 	Aborted string
 
 	events  []cmdRec
-	spans   []spanRec
 	dropped uint64
 }
 
@@ -92,38 +69,8 @@ func (t *ChromeTracer) TraceCmd(channel, bank int, kind CmdKind, row uint32, iss
 	})
 }
 
-// WindowSpan records one domain's work within one parallel-engine
-// window: the window's sim-time bounds, its index, and the number of
-// events the domain fired inside it. Called serially at barriers by the
-// windowed engine's coordinator, never from the model hot path.
-func (t *ChromeTracer) WindowSpan(domain int32, start, end sim.Time, window, fired uint64) {
-	t.span(spanRec{start: uint64(start), end: uint64(end), window: window,
-		a: fired, pid: domain, kind: spanWindow})
-}
-
-// BarrierSpan records one window barrier: cross-domain messages spliced
-// at the boundary and the host nanoseconds the coordinator spent
-// waiting for the slowest worker.
-func (t *ChromeTracer) BarrierSpan(start, end sim.Time, window, msgs, waitNS uint64) {
-	t.span(spanRec{start: uint64(start), end: uint64(end), window: window,
-		a: msgs, b: waitNS, pid: -1, kind: spanBarrier})
-}
-
-// span buffers one span, sharing the command buffer's event cap.
-func (t *ChromeTracer) span(s spanRec) {
-	max := t.MaxEvents
-	if max == 0 {
-		max = defaultMaxTraceEvents
-	}
-	if len(t.events)+len(t.spans) >= max {
-		t.dropped++
-		return
-	}
-	t.spans = append(t.spans, s)
-}
-
-// Len returns the number of buffered events (commands plus spans).
-func (t *ChromeTracer) Len() int { return len(t.events) + len(t.spans) }
+// Len returns the number of buffered events.
+func (t *ChromeTracer) Len() int { return len(t.events) }
 
 // Dropped returns the number of events discarded after MaxEvents.
 func (t *ChromeTracer) Dropped() uint64 { return t.dropped }
@@ -170,56 +117,6 @@ func (t *ChromeTracer) WriteTo(w io.Writer) (int64, error) {
 		dur := float64(e.complete-e.issue) / 1e6
 		write(`{"name":%q,"cat":"dram","ph":"X","ts":%.6f,"dur":%.6f,"pid":%d,"tid":%d,"args":{"row":%d}}`,
 			e.kind.String(), float64(e.issue)/1e6, dur, e.channel, e.bank, e.row)
-	}
-	// Parallel-engine spans live on their own pid range (spanPidBase +
-	// domain; barriers on spanPidBase-1) so they never collide with DRAM
-	// channel pids in a mixed trace.
-	if len(t.spans) > 0 {
-		doms := map[int32]bool{}
-		barriers := false
-		for _, s := range t.spans {
-			if s.kind == spanBarrier {
-				barriers = true
-				continue
-			}
-			doms[s.pid] = true
-		}
-		orderedDoms := make([]int32, 0, len(doms))
-		for d := range doms {
-			orderedDoms = append(orderedDoms, d)
-		}
-		sort.Slice(orderedDoms, func(i, j int) bool { return orderedDoms[i] < orderedDoms[j] })
-		for _, d := range orderedDoms {
-			if !first {
-				write(",")
-			}
-			first = false
-			write(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"window domain %d"}}`,
-				spanPidBase+d, d)
-		}
-		if barriers {
-			if !first {
-				write(",")
-			}
-			first = false
-			write(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"window barrier"}}`,
-				spanPidBase-1)
-		}
-		for _, s := range t.spans {
-			if !first {
-				write(",")
-			}
-			first = false
-			dur := float64(s.end-s.start) / 1e6
-			ts := float64(s.start) / 1e6
-			if s.kind == spanBarrier {
-				write(`{"name":"barrier","cat":"parwin","ph":"X","ts":%.6f,"dur":%.6f,"pid":%d,"tid":0,"args":{"window":%d,"crossdomain_msgs":%d,"wait_ns":%d}}`,
-					ts, dur, spanPidBase-1, s.window, s.a, s.b)
-				continue
-			}
-			write(`{"name":"window %d","cat":"parwin","ph":"X","ts":%.6f,"dur":%.6f,"pid":%d,"tid":0,"args":{"window":%d,"fired":%d}}`,
-				s.window, ts, dur, spanPidBase+s.pid, s.window, s.a)
-		}
 	}
 	write("]}\n")
 	if cw.err == nil {

@@ -118,69 +118,6 @@ func TestChromeTraceCap(t *testing.T) {
 	}
 }
 
-// TestChromeTraceSpans checks the parallel-window span section: span
-// events land on their own pid range with metadata names, valid JSON,
-// and a DRAM-only trace (the common case) stays byte-identical to the
-// pre-span serialization — TestChromeTraceGolden pins that.
-func TestChromeTraceSpans(t *testing.T) {
-	tr := NewChromeTracer()
-	tr.TraceCmd(0, 1, CmdACT, 9, 1_000_000, 1_013_750)
-	tr.WindowSpan(0, 2_000_000, 2_099_999, 4, 120)
-	tr.WindowSpan(1, 2_000_000, 2_099_999, 4, 80)
-	tr.BarrierSpan(2_000_000, 2_099_999, 4, 3, 1500)
-	var b bytes.Buffer
-	if _, err := tr.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc chromeDoc
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatalf("span trace is not valid JSON: %v\n%s", err, b.String())
-	}
-	var windows, barriers int
-	names := map[string]bool{}
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "M" {
-			var meta struct {
-				Name string `json:"name"`
-			}
-			if err := json.Unmarshal(e.Args, &meta); err != nil {
-				t.Fatal(err)
-			}
-			names[meta.Name] = true
-			continue
-		}
-		if e.Cat != "parwin" {
-			continue
-		}
-		if e.Name == "barrier" {
-			barriers++
-			if e.Pid != int(spanPidBase)-1 {
-				t.Fatalf("barrier pid = %d", e.Pid)
-			}
-			if !strings.Contains(string(e.Args), `"crossdomain_msgs":3`) ||
-				!strings.Contains(string(e.Args), `"wait_ns":1500`) {
-				t.Fatalf("barrier args = %s", e.Args)
-			}
-			continue
-		}
-		windows++
-		if e.Pid < int(spanPidBase) {
-			t.Fatalf("window span pid %d collides with DRAM channel range", e.Pid)
-		}
-		if !strings.Contains(string(e.Args), `"window":4`) {
-			t.Fatalf("window args = %s", e.Args)
-		}
-	}
-	if windows != 2 || barriers != 1 {
-		t.Fatalf("spans = %d windows, %d barriers; want 2, 1", windows, barriers)
-	}
-	for _, want := range []string{"DRAM channel 0", "window domain 0", "window domain 1", "window barrier"} {
-		if !names[want] {
-			t.Fatalf("missing process_name %q (have %v)", want, names)
-		}
-	}
-}
-
 // TestChromeTraceAborted: a partially-flushed trace from a killed run
 // is still valid JSON and carries the aborted marker in otherData.
 func TestChromeTraceAborted(t *testing.T) {
@@ -205,16 +142,5 @@ func TestChromeTraceAborted(t *testing.T) {
 	}
 	if len(doc.TraceEvents) != 2 { // metadata + the one flushed command
 		t.Fatalf("trace events = %d, want 2", len(doc.TraceEvents))
-	}
-}
-
-// TestChromeTraceSpanCap: spans share the command buffer's cap.
-func TestChromeTraceSpanCap(t *testing.T) {
-	tr := &ChromeTracer{MaxEvents: 2}
-	tr.TraceCmd(0, 0, CmdACT, 0, 1, 2)
-	tr.WindowSpan(0, 10, 20, 0, 1)
-	tr.BarrierSpan(10, 20, 0, 0, 0)
-	if tr.Len() != 2 || tr.Dropped() != 1 {
-		t.Fatalf("len/dropped = %d/%d, want 2/1", tr.Len(), tr.Dropped())
 	}
 }

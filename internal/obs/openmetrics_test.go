@@ -12,7 +12,7 @@ func TestSplitSeries(t *testing.T) {
 		family string
 		labels []Label
 	}{
-		{"sim.windows", "sim_windows", nil},
+		{"noc.packets", "noc_packets", nil},
 		{"mem.read_bw{ch=0}", "mem_read_bw", []Label{{"ch", "0"}}},
 		{"lat{ch=0,bank=3}.p99", "lat_p99", []Label{{"ch", "0"}, {"bank", "3"}}},
 		{"sweep.failures{kind=event-budget}", "sweep_failures", []Label{{"kind", "event-budget"}}},
@@ -42,7 +42,7 @@ func TestWriteOpenMetricsGolden(t *testing.T) {
 	samples := []Sample{
 		{"sweep.done", 3},
 		{"mem.read_bw{ch=0}", 1.5},
-		{"sim.windows", 42},
+		{"noc.packets", 42},
 		{"mem.read_bw{ch=1}", 2.25},
 		{"lat{ch=0}.p99", 120},
 	}
@@ -55,8 +55,8 @@ sweep_done 3
 # TYPE mem_read_bw gauge
 mem_read_bw{ch="0"} 1.5
 mem_read_bw{ch="1"} 2.25
-# TYPE sim_windows gauge
-sim_windows 42
+# TYPE noc_packets gauge
+noc_packets 42
 # TYPE lat_p99 gauge
 lat_p99{ch="0"} 120
 # EOF

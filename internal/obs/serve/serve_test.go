@@ -16,7 +16,7 @@ func testAgg() *obs.Aggregator {
 	a := obs.NewAggregator("test")
 	s := a.BeginSweep(2)
 	a.CellStarted(s, 0)
-	a.CellDone(s, 0, []obs.Sample{{Name: "sim.windows", Value: 12}})
+	a.CellDone(s, 0, []obs.Sample{{Name: "noc.packets", Value: 12}})
 	a.CellFailed(obs.CellFailure{Sweep: s, Cell: 1, Kind: "deadline", Error: "slow", Attempts: 1})
 	return a
 }
@@ -36,7 +36,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	out := string(body)
-	for _, want := range []string{"# TYPE sim_windows gauge", "sim_windows 12",
+	for _, want := range []string{"# TYPE noc_packets gauge", "noc_packets 12",
 		"sweep_failures 1", `sweep_failures{kind="deadline"} 1`, "# EOF\n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, out)

@@ -227,11 +227,6 @@ type Engine struct {
 	ctrlEvery uint64
 	ctrlFn    func(*Engine) error
 	stopCause error
-	// par, when non-nil, marks this engine as one domain of a Windowed
-	// parallel run (see parallel.go): packKey derives same-instant keys
-	// from the domain's execution log instead of the sequential counter.
-	// Sequential engines pay exactly one predictable nil check here.
-	par *parCtx
 }
 
 // noControl parks ctrlNext beyond any reachable fired count.
@@ -278,27 +273,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// PendingAll is Pending plus, in parallel mode, the domain's
-// side-buffered events (fresh keys past the window deadline) — the full
-// count of scheduled-but-unfired work. Diagnostics should prefer it;
-// for a sequential engine it equals Pending.
-func (e *Engine) PendingAll() int {
-	n := len(e.queue)
-	if e.par != nil {
-		n += len(e.par.side)
-	}
-	return n
-}
-
-// NextTime returns the instant of the earliest pending event, or false
-// if the queue is empty.
-func (e *Engine) NextTime() (Time, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].when, true
-}
-
 // Schedule enqueues fn to run at the given absolute time with priority
 // zero. Scheduling in the past panics: that is always a model bug.
 func (e *Engine) Schedule(at Time, fn func(*Engine)) Event {
@@ -316,26 +290,8 @@ func (e *Engine) ScheduleP(at Time, priority int, fn func(*Engine)) Event {
 	rec := &e.records[id]
 	rec.when, rec.key, rec.fn = at, e.packKey(at, priority), fn
 	rec.argFn = nil // recycle leaves the previous use's fields in place
-	e.enqueue(rec, id)
-	return Event{eng: e, id: id, gen: rec.gen}
-}
-
-// enqueue routes a freshly scheduled record into the event heap — or,
-// inside a parallel window, into the domain's side buffer when the
-// event cannot fire before the barrier anyway (fresh key, past the
-// window deadline). Side-buffered events rejoin the heap at the
-// barrier under committed keys, so the barrier rewrites exactly the
-// keys that need it instead of walking the whole queue (parallel.go).
-// Sequential engines pay one predictable nil check.
-func (e *Engine) enqueue(rec *event, id int32) {
-	if p := e.par; p != nil && rec.key&parFresh != 0 && rec.when > p.deadline {
-		p.side = append(p.side, id)
-		if rec.when < p.sideMin {
-			p.sideMin = rec.when
-		}
-		return
-	}
 	e.queue.push(rec, id)
+	return Event{eng: e, id: id, gen: rec.gen}
 }
 
 // packKey validates the schedule arguments and returns the packed
@@ -343,9 +299,6 @@ func (e *Engine) enqueue(rec *event, id int32) {
 func (e *Engine) packKey(at Time, priority int) uint64 {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.now))
-	}
-	if e.par != nil {
-		return e.par.packKey(priority)
 	}
 	if priority < -priorityBias || priority >= priorityBias {
 		panic(fmt.Sprintf("sim: priority %d outside [%d, %d)", priority, -priorityBias, priorityBias))
@@ -377,7 +330,7 @@ func (e *Engine) ScheduleArgP(at Time, priority int, fn func(*Engine, any), arg 
 	rec := &e.records[id]
 	rec.when, rec.key, rec.argFn, rec.arg = at, e.packKey(at, priority), fn, arg
 	// rec.fn may be stale from a prior use; dispatch checks argFn first.
-	e.enqueue(rec, id)
+	e.queue.push(rec, id)
 	return Event{eng: e, id: id, gen: rec.gen}
 }
 
@@ -400,31 +353,7 @@ func (e *Engine) Cancel(ev Event) {
 	for i := range e.queue {
 		if e.queue[i].id == ev.id {
 			e.queue.remove(i)
-			e.recycle(ev.id)
-			return
-		}
-	}
-	// Inside a parallel window, the record may instead sit in the
-	// domain's side buffer (fresh key past the deadline; see enqueue).
-	if p := e.par; p != nil {
-		for i, id := range p.side {
-			if id == ev.id {
-				p.side[i] = p.side[len(p.side)-1]
-				p.side = p.side[:len(p.side)-1]
-				// sideMin feeds the coordinator's start scan; a stale
-				// finite value would make the domain look perpetually
-				// pending and spin Windowed.Run forever, so recompute it
-				// whenever the removed event could have been the minimum.
-				if e.records[ev.id].when == p.sideMin {
-					p.sideMin = Never
-					for _, sid := range p.side {
-						if w := e.records[sid].when; w < p.sideMin {
-							p.sideMin = w
-						}
-					}
-				}
-				break
-			}
+			break
 		}
 	}
 	e.recycle(ev.id)
@@ -524,42 +453,6 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 		e.now = deadline
 	}
 	return e.fired - start
-}
-
-// Reset returns the engine to its post-NewEngine state while keeping
-// the slab, heap, and free-list storage warm, so a pooled engine can be
-// reused across runs without re-growing its arenas (the slab and heap
-// reach steady-state size within one run; reallocating them per sweep
-// cell is a measurable fraction of short Quick-fidelity cells). Every
-// record's generation is bumped — handles held by the previous machine
-// become permanent no-ops, exactly as if their events had fired — and
-// the callback fields are cleared so the retired machine's object graph
-// is not kept alive across runs. Reset on a parallel-domain engine
-// panics: Windowed owns those engines' lifecycle.
-func (e *Engine) Reset() {
-	if e.par != nil {
-		panic("sim: Reset on a parallel-domain engine")
-	}
-	e.queue = e.queue[:0]
-	for i := range e.records {
-		rec := &e.records[i]
-		rec.gen++
-		rec.fn, rec.argFn, rec.arg = nil, nil, nil
-	}
-	// Rebuild the free list so alloc hands out ids 0,1,2,... like a
-	// fresh engine (ids never affect event order, but keeping the
-	// pattern identical makes slab layouts comparable across runs).
-	if cap(e.free) < len(e.records) {
-		e.free = make([]int32, len(e.records))
-	}
-	e.free = e.free[:len(e.records)]
-	for i := range e.free {
-		e.free[i] = int32(len(e.records) - 1 - i)
-	}
-	e.now, e.seq, e.fired = 0, 0, 0
-	e.halted = false
-	e.stopCause = nil
-	e.ctrlFn, e.ctrlEvery, e.ctrlNext = nil, 0, noControl
 }
 
 // Clock converts between a fixed-period clock domain and absolute time.

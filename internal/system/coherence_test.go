@@ -65,7 +65,7 @@ func TestCoherenceDirectoryGlue(t *testing.T) {
 	for i := range profs {
 		profs[i] = prof
 	}
-	m := build(Spec{Sys: sys, Profiles: profs, InstrPerCore: 1000, Seed: 1}, nil, nil)
+	m := build(Spec{Sys: sys, Profiles: profs, InstrPerCore: 1000, Seed: 1})
 
 	block := uint64(0x40000)
 	fills := 0

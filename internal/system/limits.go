@@ -143,23 +143,6 @@ func (m *machine) diag() Diag {
 		CoresFinished: m.finished,
 		Cores:         len(m.cores),
 	}
-	if p := m.par; p != nil {
-		d.NowPS, d.Events, d.QueueDepth = 0, 0, 0
-		for _, e := range p.engs {
-			if e.Now() > d.NowPS {
-				d.NowPS = e.Now()
-			}
-			d.Events += e.Fired()
-			// PendingAll, not Pending: right after a window, fresh events
-			// past the deadline sit in the domain's side buffer rather
-			// than the heap, and they are pending work all the same.
-			d.QueueDepth += e.PendingAll()
-		}
-		d.CoresFinished = 0
-		for _, f := range p.finished {
-			d.CoresFinished += f
-		}
-	}
 	for _, ctl := range m.ctrls {
 		d.CtrlQueueLens = append(d.CtrlQueueLens, ctl.QueueLen())
 	}

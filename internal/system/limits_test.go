@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+
+	"microbank/internal/obs"
 )
 
 func limitErr(t *testing.T, err error, kind string) *LimitError {
@@ -74,22 +77,6 @@ func TestContextCancellationStopsRun(t *testing.T) {
 	}
 }
 
-// TestIntraCancellationChecksEveryBarrier pins the parallel watchdog's
-// host-side checks to barrier granularity: with a check interval far
-// larger than the whole run, the fired-event cadence never comes due,
-// yet cancellation (and the wall-clock deadline) must still be able to
-// stop the run — otherwise a barrier loop making no event progress
-// could never be rescued.
-func TestIntraCancellationChecksEveryBarrier(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	spec := intraSpecs(t)["single-core"]
-	spec.IntraParallelism = 4
-	spec.Limits = &Limits{Ctx: ctx, CheckEvents: 1 << 40}
-	_, err := Run(spec)
-	limitErr(t, err, LimitCancelled)
-}
-
 func TestLimitsDoNotPerturbResults(t *testing.T) {
 	spec := singleSpec("429.mcf", 1, 1, 8000)
 	base, err := Run(spec)
@@ -133,5 +120,45 @@ func TestLimitErrorRendering(t *testing.T) {
 	want := "system: event budget 100 exhausted (sim=1234ps events=128 queue=7 cores=0/4 ctrlq=[3 0] retired=[10..20])"
 	if got := le.Error(); got != want {
 		t.Fatalf("Error() = %q\nwant      %q", got, want)
+	}
+}
+
+// TestOnDiagOnlyLeavesMetricsAlone: arming only Limits.OnDiag (the
+// -serve diagnostic feed) must not register the watchdog's own gauge or
+// change any gathered value — the metric stream with -serve on is
+// byte-identical to without.
+func TestOnDiagOnlyLeavesMetricsAlone(t *testing.T) {
+	plain := singleSpec("429.mcf", 2, 8, 4000)
+	plain.Obs = &obs.Observer{Registry: obs.NewRegistry()}
+	resPlain, err := Run(plain)
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	snapPlain := plain.Obs.Registry.Gather()
+
+	diags := 0
+	watched := singleSpec("429.mcf", 2, 8, 4000)
+	watched.Obs = &obs.Observer{Registry: obs.NewRegistry()}
+	// The short test run fires fewer events than the default check
+	// cadence, so tighten it; CheckEvents alone never trips a limit.
+	watched.Limits = &Limits{CheckEvents: 1024, OnDiag: func(Diag) { diags++ }}
+	resWatched, err := Run(watched)
+	if err != nil {
+		t.Fatalf("watched run: %v", err)
+	}
+	if diags == 0 {
+		t.Error("OnDiag never invoked")
+	}
+	if !reflect.DeepEqual(resWatched, resPlain) {
+		t.Errorf("OnDiag-only run diverged\n got: %+v\nwant: %+v", resWatched, resPlain)
+	}
+	snapWatched := watched.Obs.Registry.Gather()
+	if !reflect.DeepEqual(snapWatched, snapPlain) {
+		t.Errorf("OnDiag-only metric stream diverged\n got: %v\nwant: %v", snapWatched, snapPlain)
+	}
+	for _, s := range snapWatched {
+		if s.Name == "sys.watchdog_checks" {
+			t.Error("OnDiag-only run registered sys.watchdog_checks")
+		}
 	}
 }

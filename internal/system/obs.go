@@ -136,18 +136,4 @@ func (m *machine) wireObs(o *obs.Observer) {
 	}
 	reg.GaugeFunc("noc.packets", func() float64 { return float64(m.mesh.Packets) })
 	reg.GaugeFunc("noc.avg_hops", func() float64 { return m.mesh.AvgHops() })
-
-	if p := m.par; p != nil {
-		// Windowed-engine health: read-only, evaluated at gather time
-		// (for parallel-eligible runs that means after the run — the
-		// sampler is sequential-only).
-		reg.GaugeFunc("sim.windows", func() float64 { return float64(p.win.Windows) })
-		reg.GaugeFunc("sim.window_ns", func() float64 { return float64(p.win.Window()) / 1000 })
-		reg.GaugeFunc("sim.crossdomain_msgs", func() float64 { return float64(p.crossMsgs) })
-		reg.GaugeFunc("sim.domain_imbalance", func() float64 { return p.imbalance() })
-		// Per-window skew: max/mean fired events over each window's
-		// active domains, scaled by 1000 (1000 = perfectly balanced).
-		// Observed serially at barriers by observeWindow.
-		p.winImb = reg.Histogram("sim.window_imbalance")
-	}
 }

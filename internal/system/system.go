@@ -52,26 +52,11 @@ type Spec struct {
 	// command. Observation is read-only — results are bit-identical with
 	// or without it.
 	Obs *obs.Observer
-	// WinTrace, when non-nil, receives per-window and per-barrier spans
-	// from the windowed parallel engine (window index, events fired per
-	// domain, cross-domain messages, barrier wait). Unlike Obs.Tracer it
-	// does not affect intra-parallel eligibility: spans are emitted
-	// serially by the coordinator at barriers, never from model events,
-	// so results stay bit-identical. Sequential runs ignore it.
-	WinTrace *obs.ChromeTracer
 	// Limits, when non-nil and armed, bounds the run (wall-clock
 	// deadline, event budget, context cancellation, livelock watchdog);
 	// a tripped limit returns a *LimitError. Nil runs unbounded with an
 	// untouched hot path.
 	Limits *Limits
-	// IntraParallelism > 1 requests the windowed conservative parallel
-	// engine (one event domain per L2 cluster and per memory channel),
-	// bit-identical to the sequential engine at any width. Runs that the
-	// decomposition cannot cover exactly — custom generators, shared-
-	// memory profiles, per-event observers — fall back to the sequential
-	// path; see Spec.intraEligible. Watchdog limits are honored at
-	// window granularity. 0 or 1 selects the sequential engine.
-	IntraParallelism int
 }
 
 // Result carries every metric the experiments report.
@@ -147,11 +132,6 @@ type machine struct {
 	// wdChecks counts watchdog hook invocations (exported through obs
 	// as sys.watchdog_checks when limits are armed).
 	wdChecks uint64
-
-	// par is non-nil when the machine runs on the windowed parallel
-	// engine; branch sites below defer mesh sends and shard per-cluster
-	// state through it. Sequential runs pay one nil check per site.
-	par *parRun
 }
 
 // memTxn is a pooled memory-transaction record: one L2 miss (DRAM fill
@@ -161,7 +141,6 @@ type machine struct {
 type memTxn struct {
 	m     *machine
 	ch    int // home memory channel
-	cl    int // requesting cluster (parallel mode: owning domain/pool)
 	src   int // requester mesh node
 	dst   int // controller mesh node
 	extra sim.Time
@@ -182,50 +161,17 @@ type memTxn struct {
 	replyDone func(at sim.Time)
 }
 
-// allocTxn returns a pooled or freshly wired transaction record for a
-// request issued by the given cluster. Parallel runs pool per cluster
-// (each pool is touched only by its owning domain); pool order is
-// semantically neutral because every reuse fully resets the record.
-func (m *machine) allocTxn(cl int) *memTxn {
-	if p := m.par; p != nil {
-		pool := p.pools[cl]
-		if n := len(pool); n > 0 {
-			t := pool[n-1]
-			pool[n-1] = nil
-			p.pools[cl] = pool[:n-1]
-			t.cl = cl
-			return t
-		}
-		t := m.newTxn()
-		t.cl = cl
-		return t
-	}
+// allocTxn returns a pooled or freshly wired transaction record.
+func (m *machine) allocTxn() *memTxn {
 	if n := len(m.txnFree); n > 0 {
 		t := m.txnFree[n-1]
 		m.txnFree[n-1] = nil
 		m.txnFree = m.txnFree[:n-1]
-		t.cl = cl
 		return t
 	}
-	t := m.newTxn()
-	t.cl = cl
-	return t
-}
-
-// newTxn wires a fresh transaction record's callback legs once.
-func (m *machine) newTxn() *memTxn {
 	t := &memTxn{m: m}
 	t.reqArrived = func(sim.Time) { t.m.ctrls[t.ch].Enqueue(&t.req) }
-	t.sendReply = func(sim.Time) {
-		if p := t.m.par; p != nil {
-			// Fires inside channel t.ch's domain for both the DRAM Done
-			// and cache-to-cache forward paths; the reply lands in the
-			// requesting cluster's domain.
-			p.send(p.chDom(t.ch), t.dst, t.src, 16+64, t.replyDone, p.clDom(t.cl))
-			return
-		}
-		t.m.mesh.Send(t.dst, t.src, 16+64, t.replyDone)
-	}
+	t.sendReply = func(sim.Time) { t.m.mesh.Send(t.dst, t.src, 16+64, t.replyDone) }
 	t.replyDone = func(at sim.Time) {
 		d, extra := t.done, t.extra
 		t.m.recycleTxn(t)
@@ -235,37 +181,23 @@ func (m *machine) newTxn() *memTxn {
 }
 
 // recycleTxn returns a finished record to the pool, dropping callback
-// references so pooled records don't pin caller state. Fires in the
-// requesting cluster's domain (the reply leg).
+// references so pooled records don't pin caller state.
 func (m *machine) recycleTxn(t *memTxn) {
 	t.done = nil
 	t.req.Done = nil
 	t.req.Owner = nil
-	if p := m.par; p != nil {
-		p.pools[t.cl] = append(p.pools[t.cl], t)
-		return
-	}
 	m.txnFree = append(m.txnFree, t)
 }
 
 // reqRetired is the controllers' OnRetire hook. Posted writes have no
 // Done/reply leg, so retirement is their completion: recycle the record
 // here. Read fills recycle on the reply leg instead (their Done event
-// may still be in flight at retirement). In parallel mode retirement
-// fires inside the channel's domain, so the record parks on the
-// channel's free list until the barrier splices it home.
+// may still be in flight at retirement).
 func (m *machine) reqRetired(r *memctrl.Request) {
 	if r.Done != nil {
 		return
 	}
 	if t, ok := r.Owner.(*memTxn); ok {
-		if p := m.par; p != nil {
-			t.done = nil
-			t.req.Done = nil
-			t.req.Owner = nil
-			p.chanFree[t.ch] = append(p.chanFree[t.ch], t)
-			return
-		}
 		m.recycleTxn(t)
 	}
 }
@@ -356,16 +288,19 @@ func subStats(a, b memctrl.Stats) memctrl.Stats {
 // its instruction budget. It returns an error if the simulation stops
 // making progress before completion (a model bug, not a user error).
 func Run(spec Spec) (Result, error) {
-	if err := spec.validate(); err != nil {
-		return Result{}, err
+	if err := spec.Sys.Validate(); err != nil {
+		return Result{}, fmt.Errorf("system: %w", err)
 	}
-	if spec.IntraParallelism == IntraAuto {
-		spec.IntraParallelism = autoIntraWidth(&spec)
+	if len(spec.Profiles) != spec.Sys.Cores {
+		return Result{}, fmt.Errorf("system: %d profiles for %d cores", len(spec.Profiles), spec.Sys.Cores)
 	}
-	if spec.intraEligible() {
-		return runIntra(spec)
+	if spec.InstrPerCore == 0 {
+		return Result{}, fmt.Errorf("system: zero instruction budget")
 	}
-	m := build(spec, nil, nil)
+	if spec.WarmupInstr >= spec.InstrPerCore {
+		return Result{}, fmt.Errorf("system: warm-up %d >= budget %d", spec.WarmupInstr, spec.InstrPerCore)
+	}
+	m := build(spec)
 	if spec.Obs != nil {
 		m.wireObs(spec.Obs)
 		if spec.Obs.Sampler != nil {
@@ -390,55 +325,12 @@ func Run(spec Spec) (Result, error) {
 	return m.collect(), nil
 }
 
-// validate is Run's prologue check, shared with RunBatch so batched
-// members reject exactly the specs a standalone run would.
-func (s *Spec) validate() error {
-	if err := s.Sys.Validate(); err != nil {
-		return fmt.Errorf("system: %w", err)
-	}
-	if len(s.Profiles) != s.Sys.Cores {
-		return fmt.Errorf("system: %d profiles for %d cores", len(s.Profiles), s.Sys.Cores)
-	}
-	if s.InstrPerCore == 0 {
-		return fmt.Errorf("system: zero instruction budget")
-	}
-	if s.WarmupInstr >= s.InstrPerCore {
-		return fmt.Errorf("system: warm-up %d >= budget %d", s.WarmupInstr, s.InstrPerCore)
-	}
-	return nil
-}
-
-// build assembles the machine. A non-nil par places each component on
-// its domain's engine (clusters and channels in the same index order as
-// runIntra) but otherwise constructs in the exact sequential order, so
-// build-time events carry identical keys. A non-nil env (batched
-// builds; mutually exclusive with par) supplies the pooled engine and
-// the structure-of-arrays bank-state arena shared by the batch.
-func build(spec Spec, par *parRun, env *batchEnv) *machine {
+// build assembles the machine for one run on a fresh engine.
+func build(spec Spec) *machine {
 	sys := spec.Sys
+	eng := sim.NewEngine()
 	clusters := (sys.Cores + sys.CoresPerL2 - 1) / sys.CoresPerL2
 	channels := sys.Mem.Org.Channels
-	var eng *sim.Engine
-	switch {
-	case par != nil:
-		eng = par.engs[0]
-	case env != nil:
-		eng = env.eng
-	default:
-		eng = sim.NewEngine()
-	}
-	clEng := func(cl int) *sim.Engine {
-		if par == nil {
-			return eng
-		}
-		return par.engs[par.clDom(cl)]
-	}
-	chEng := func(ch int) *sim.Engine {
-		if par == nil {
-			return eng
-		}
-		return par.engs[par.chDom(ch)]
-	}
 
 	// Mesh must cover both clusters and controllers.
 	dim := sys.MeshDim
@@ -451,7 +343,6 @@ func build(spec Spec, par *parRun, env *batchEnv) *machine {
 	m := &machine{
 		eng:  eng,
 		spec: spec,
-		par:  par,
 		mesh: noc.New(eng, dim, sys.NoCHopPS, 64),
 	}
 
@@ -459,23 +350,16 @@ func build(spec Spec, par *parRun, env *batchEnv) *machine {
 
 	retire := m.reqRetired
 	for ch := 0; ch < channels; ch++ {
-		ctl := memctrl.NewWith(chEng(ch), sys.Mem, sys.Ctrl, sys.Cores, env.ctlArena())
+		ctl := memctrl.New(eng, sys.Mem, sys.Ctrl, sys.Cores)
 		ctl.OnRetire = retire
 		m.ctrls = append(m.ctrls, ctl)
-		if par != nil {
-			shards := make([]*cache.Directory, clusters)
-			for cl := range shards {
-				shards[cl] = cache.NewDirectory(max(clusters, 1))
-			}
-			par.dirs[ch] = shards
-		}
 		m.dirs = append(m.dirs, cache.NewDirectory(max(clusters, 1)))
 	}
 
 	m.l2Wait = make([][]func() bool, clusters)
 	for cl := 0; cl < clusters; cl++ {
 		cl := cl
-		l2 := cache.New(clEng(cl), sys.L2, corePeriod,
+		l2 := cache.New(eng, sys.L2, corePeriod,
 			func(block uint64, write bool, thread int, done func(at sim.Time)) {
 				m.l2Miss(cl, block, write, thread, done)
 			},
@@ -490,7 +374,7 @@ func build(spec Spec, par *parRun, env *batchEnv) *machine {
 	for core := 0; core < sys.Cores; core++ {
 		core := core
 		cl := core / sys.CoresPerL2
-		l1 := cache.New(clEng(cl), sys.L1D, corePeriod,
+		l1 := cache.New(eng, sys.L1D, corePeriod,
 			func(block uint64, write bool, thread int, done func(at sim.Time)) {
 				m.l1Miss(cl, block, write, thread, done)
 			},
@@ -523,18 +407,11 @@ func build(spec Spec, par *parRun, env *batchEnv) *machine {
 			Seed:        spec.Seed + int64(core)*131,
 		}
 		var cc *cpu.Core
-		cc = cpu.New(clEng(cl), params, gen,
+		cc = cpu.New(eng, params, gen,
 			func(addrV uint64, write bool, done func(at sim.Time)) bool {
 				return l1.Access(addrV, write, core, done)
 			},
 			func(st cpu.Stats) {
-				if par != nil {
-					par.finished[cl]++
-					if st.FinishAt > par.lastEnd[cl] {
-						par.lastEnd[cl] = st.FinishAt
-					}
-					return
-				}
 				m.finished++
 				if st.FinishAt > m.lastEnd {
 					m.lastEnd = st.FinishAt
@@ -542,11 +419,7 @@ func build(spec Spec, par *parRun, env *batchEnv) *machine {
 			})
 		l1.OnMSHRFree = cc.Kick
 		if spec.WarmupInstr > 0 {
-			if par != nil {
-				cc.OnWarm = func() { par.coreWarm(cl) }
-			} else {
-				cc.OnWarm = m.coreWarmed
-			}
+			cc.OnWarm = m.coreWarmed
 		}
 		m.cores = append(m.cores, cc)
 	}
@@ -589,18 +462,7 @@ func (m *machine) homeChannel(block uint64) int {
 // actions, NoC transfer, and (usually) a main-memory access.
 func (m *machine) l2Miss(cluster int, block uint64, write bool, thread int, done func(at sim.Time)) {
 	ch := m.homeChannel(block)
-	var out cache.Outcome
-	if p := m.par; p != nil {
-		// Disjoint per-cluster address streams (the eligibility gate)
-		// let each cluster own a private directory shard; coherence
-		// actions against other clusters cannot occur.
-		out = p.dirs[ch][cluster].Fill(block, cluster, write)
-		if len(out.Invalidate) != 0 || len(out.Downgrade) != 0 {
-			panic("system: cross-cluster sharing in intra-parallel run")
-		}
-	} else {
-		out = m.dirs[ch].Fill(block, cluster, write)
-	}
+	out := m.dirs[ch].Fill(block, cluster, write)
 	src := m.clusterNode(cluster)
 	dst := m.ctrlNode(ch)
 
@@ -614,14 +476,10 @@ func (m *machine) l2Miss(cluster int, block uint64, write bool, thread int, done
 	}
 	extra := sim.Time(out.ExtraHops) * m.mesh.Latency(src, dst)
 
-	t := m.allocTxn(cluster)
+	t := m.allocTxn()
 	t.ch, t.src, t.dst, t.extra, t.done = ch, src, dst, extra, done
 	if !out.NeedMem {
 		// Cache-to-cache transfer: request + forwarded line, no DRAM.
-		if p := m.par; p != nil {
-			p.send(p.clDom(cluster), src, dst, 16, t.sendReply, p.chDom(ch))
-			return
-		}
 		m.mesh.Send(src, dst, 16, t.sendReply)
 		return
 	}
@@ -632,10 +490,6 @@ func (m *machine) l2Miss(cluster int, block uint64, write bool, thread int, done
 		Done:   t.sendReply,
 		Owner:  t,
 	}
-	if p := m.par; p != nil {
-		p.send(p.clDom(cluster), src, dst, 16, t.reqArrived, p.chDom(ch))
-		return
-	}
 	m.mesh.Send(src, dst, 16, t.reqArrived)
 }
 
@@ -643,11 +497,7 @@ func (m *machine) l2Miss(cluster int, block uint64, write bool, thread int, done
 // invalidate the cluster's L1s (inclusive hierarchy).
 func (m *machine) l2Evicted(cluster int, block uint64) {
 	ch := m.homeChannel(block)
-	if p := m.par; p != nil {
-		p.dirs[ch][cluster].Evict(block, cluster)
-	} else {
-		m.dirs[ch].Evict(block, cluster)
-	}
+	m.dirs[ch].Evict(block, cluster)
 	lo := cluster * m.spec.Sys.CoresPerL2
 	hi := lo + m.spec.Sys.CoresPerL2
 	if hi > len(m.l1s) {
@@ -662,13 +512,9 @@ func (m *machine) l2Evicted(cluster int, block uint64) {
 // transaction record is recycled by the controller's OnRetire hook.
 func (m *machine) memWrite(cluster int, block uint64, thread int) {
 	ch := m.homeChannel(block)
-	t := m.allocTxn(cluster)
+	t := m.allocTxn()
 	t.ch, t.src, t.dst, t.extra, t.done = ch, m.clusterNode(cluster), m.ctrlNode(ch), 0, nil
 	t.req = memctrl.Request{Addr: block, Write: true, Thread: thread, Owner: t}
-	if p := m.par; p != nil {
-		p.send(p.clDom(cluster), t.src, t.dst, 16+64, t.reqArrived, p.chDom(ch))
-		return
-	}
 	m.mesh.Send(t.src, t.dst, 16+64, t.reqArrived)
 }
 

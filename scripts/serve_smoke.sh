@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # Live-observability smoke: start a headline sweep with -serve active
-# (-j 4 across cells, -j-intra 2 inside each eligible cell), then
-# scrape every endpoint and assert the exposition is well-formed —
-# OpenMetrics text that terminates in # EOF and carries the windowed
-# engine's sim_windows series and the campaign's sweep_failures series,
-# /status JSON with the cell counters, an SSE stream that frames
-# events, and a live pprof index. Run via `make serve-smoke`.
+# (-j 4 across cells), then scrape every endpoint and assert the
+# exposition is well-formed — OpenMetrics text that terminates in
+# # EOF and carries the noc_packets series every run exports and the
+# campaign's sweep_failures series, /status JSON with the cell
+# counters, an SSE stream that frames events, and a live pprof index.
+# Run via `make serve-smoke`.
 set -eu
 
 # Port-collision hardening: by default ask the kernel for an ephemeral
@@ -17,7 +17,7 @@ OUT="$(mktemp -d)"
 trap 'kill "$PID" 2>/dev/null || true; rm -rf "$OUT"' EXIT INT TERM
 
 go build -o "$OUT/microbank" ./cmd/microbank
-"$OUT/microbank" -exp headline -quick -instr 4000 -j 4 -j-intra 2 \
+"$OUT/microbank" -exp headline -quick -instr 4000 -j 4 \
     -serve "$ADDR_REQ" -serve-linger 120s >"$OUT/stdout" 2>"$OUT/stderr" &
 PID=$!
 
@@ -65,8 +65,8 @@ curl -sf "http://$ADDR/metrics" >"$OUT/metrics.txt"
 
 # OpenMetrics shape: TYPE headers, a terminating # EOF, and every line
 # either a comment or `name[{labels}] value`.
-grep -q '^# TYPE sim_windows gauge$' "$OUT/metrics.txt"
-grep -q '^sim_windows ' "$OUT/metrics.txt"
+grep -q '^# TYPE noc_packets gauge$' "$OUT/metrics.txt"
+grep -q '^noc_packets ' "$OUT/metrics.txt"
 grep -q '^sweep_failures ' "$OUT/metrics.txt"
 tail -n 1 "$OUT/metrics.txt" | grep -qx '# EOF'
 if grep -vE '^(# (TYPE [a-zA-Z_:][a-zA-Z0-9_:]* gauge|EOF)$|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9a-zA-Z.+-]+$)' "$OUT/metrics.txt"; then
