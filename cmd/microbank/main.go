@@ -71,9 +71,7 @@ func main() {
 		eventBudget = flag.Uint64("event-budget", 0, "per-run simulation event budget (0 = none)")
 		retries     = flag.Int("retries", 0, "retry budget per sweep cell for transient failures (deadline trips)")
 		failMode    = flag.String("fail-mode", "fail-fast", "sweep reaction to a failed cell: fail-fast | collect | degrade")
-		journalPath = flag.String("journal", "", "checkpoint completed sweep cells to this JSONL file")
-		storeDir    = flag.String("store", "", "content-addressed result store directory: completed sweep cells are committed to it (checksummed, atomic) and replayed from it, shared across campaigns and resumes")
-		resume      = flag.Bool("resume", false, "resume the campaign from -journal and/or -store: completed cells replay from disk, byte-identically")
+		storeDir    = flag.String("store", "", "content-addressed result store directory: completed sweep cells are committed to it (checksummed, atomic) keyed by model and run spec, and replayed byte-identically by any later run — rerunning against the same store resumes a campaign")
 		injectSpec  = flag.String("inject", "", "deterministic fault injection for testing, e.g. panic:1,timeout:3 (kinds: panic error timeout budget flaky)")
 	)
 	flag.Parse()
@@ -88,7 +86,7 @@ func main() {
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the campaign
 	// context — sweep workers stop taking cells, in-flight runs abort at
 	// their next watchdog check, and the run exits through the normal
-	// error path (journal and store keep every completed cell; report/
+	// error path (the store keeps every completed cell; report/
 	// trace/metrics artifacts flush as valid JSON marked aborted). A
 	// second signal force-quits.
 	ctx, stopRun := context.WithCancel(context.Background())
@@ -120,8 +118,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "microbank: serving observability on http://%s (/metrics /events /status /debug/pprof/)\n", srv.Addr())
 	}
 
-	res, closeJournal, err := buildResilience(*exp, o, *failMode, *retries,
-		*timeout, *eventBudget, *journalPath, *storeDir, *resume, *injectSpec)
+	res, err := buildResilience(*failMode, *retries, *timeout, *eventBudget,
+		*storeDir, *injectSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "microbank:", err)
 		os.Exit(1)
@@ -166,10 +164,6 @@ func main() {
 			report.AddFailures(res.Log)
 		}
 		summarizeFailures(res)
-		if res.Journal != nil {
-			fmt.Fprintf(os.Stderr, "microbank: journal: %d cell(s) replayed, %d checkpointed\n",
-				res.Journal.Hits(), res.Journal.Cells())
-		}
 		if res.Store != nil {
 			st := res.Store.Stats()
 			fmt.Fprintf(os.Stderr, "microbank: store: %d hit(s), %d miss(es), %d new entr(y/ies), %d quarantined\n",
@@ -199,9 +193,6 @@ func main() {
 	if err == nil {
 		err = res.Err() // collect mode: failures mean a nonzero exit
 	}
-	if cerr := closeJournal(); cerr != nil && err == nil {
-		err = cerr
-	}
 	if agg != nil {
 		agg.Finish(err)
 	}
@@ -229,54 +220,36 @@ func main() {
 }
 
 // buildResilience turns the resilience flags into an armed
-// *experiments.Resilience (nil when no flag asks for one, keeping the
-// zero-overhead fail-fast path) plus a journal-close function.
-func buildResilience(exp string, o experiments.Options, failMode string, retries int,
-	timeout time.Duration, eventBudget uint64, journalPath, storeDir string, resume bool,
-	inject string) (*experiments.Resilience, func() error, error) {
-	noop := func() error { return nil }
-	if resume && journalPath == "" && storeDir == "" {
-		return nil, nil, fmt.Errorf("-resume needs -journal or -store")
-	}
+// *experiments.Resilience, or nil when no flag asks for one (keeping
+// the zero-overhead fail-fast path).
+func buildResilience(failMode string, retries int, timeout time.Duration,
+	eventBudget uint64, storeDir, inject string) (*experiments.Resilience, error) {
 	armed := failMode != "fail-fast" || retries > 0 || timeout > 0 || eventBudget > 0 ||
-		journalPath != "" || storeDir != "" || inject != ""
+		storeDir != "" || inject != ""
 	if !armed {
-		return nil, noop, nil
+		return nil, nil
 	}
 	mode, err := parallel.ParseFailMode(failMode)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res := &experiments.Resilience{Mode: mode, Retries: retries,
 		Timeout: timeout, EventBudget: eventBudget}
 	if err := res.SetInject(inject); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	key := experiments.CampaignKey(exp, o)
 	if storeDir != "" {
 		s, err := store.Open(storeDir, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		res.Store = s
-		res.StoreKey = key
 		if st := s.Stats(); st.Quarantined > 0 {
 			fmt.Fprintf(os.Stderr, "microbank: store: recovery quarantined %d corrupt entr(y/ies); they will be re-simulated\n",
 				st.Quarantined)
 		}
 	}
-	if journalPath == "" {
-		return res, noop, nil
-	}
-	j, err := experiments.OpenJournal(journalPath, key, resume)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Journal = j
-	// A journal written before the store existed seeds it on open, so
-	// both checkpoint layers agree before the first sweep starts.
-	res.MigrateJournal()
-	return res, j.Close, nil
+	return res, nil
 }
 
 // summarizeFailures prints the campaign's failure records to stderr

@@ -13,8 +13,14 @@ package golden_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"microbank/internal/check"
@@ -268,4 +274,34 @@ func fig10Spec(o experiments.Options, nW, nB int) system.Spec {
 	obsv.AddTracer(check.New(sys.Mem, check.ModeFatal))
 	spec.Obs = obsv
 	return spec
+}
+
+// TestModelFingerprint pins system.ModelFingerprint to the fixtures:
+// SHA-256 over every fixture in name order, each as name, length and
+// bytes. A change that moves any simulated result regenerates a fixture
+// and fails here until the constant is bumped, which retires every
+// stored result of the old model. It runs last, so under
+// UPDATE_GOLDEN=1 it sees the regenerated files.
+func TestModelFingerprint(t *testing.T) {
+	names, err := filepath.Glob("testdata/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, path := range names {
+		if strings.HasSuffix(path, ".got.json") {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\x00%d\x00", filepath.Base(path), len(data))
+		h.Write(data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != system.ModelFingerprint {
+		t.Fatalf("fixtures fingerprint to %s, not system.ModelFingerprint %s: "+
+			"the model's results changed, so set the constant to the new value", got, system.ModelFingerprint)
+	}
 }

@@ -37,12 +37,12 @@ type AblationRow struct {
 func AblationScheduler(o Options) ([]AblationRow, error) {
 	o = o.withDefaults()
 	scheds := []config.Scheduler{config.SchedFCFS, config.SchedFRFCFS, config.SchedPARBS}
-	results, failed, err := mapRuns(o, scheds, func(env runEnv, sched config.Scheduler) (system.Result, error) {
-		return runMulti(workload.MixHigh().ForCore, config.LPDDRTSI, 1, 1,
+	results, failed, err := mapRuns(o, scheds, func(sched config.Scheduler) system.Spec {
+		return multiSpec(workload.MixHigh().ForCore, config.LPDDRTSI, 1, 1,
 			func(s *config.System) {
 				s.Ctrl.Scheduler = sched
 				s.Mem.Org.Channels = 2 // concentrate interference
-			}, o, env)
+			}, o)
 	})
 	if err != nil {
 		return nil, err
@@ -81,9 +81,9 @@ func AblationQueueDepth(o Options) ([]AblationRow, error) {
 			jobs = append(jobs, job{cfg, depth})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
-		return runSingle("TPC-H", config.LPDDRTSI, j.cfg[0], j.cfg[1],
-			func(s *config.System) { s.Ctrl.QueueDepth = j.depth }, o, env)
+	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
+		return singleSpec("TPC-H", config.LPDDRTSI, j.cfg[0], j.cfg[1],
+			func(s *config.System) { s.Ctrl.QueueDepth = j.depth }, o)
 	})
 	if err != nil {
 		return nil, err
@@ -117,9 +117,9 @@ func AblationQueueDepth(o Options) ([]AblationRow, error) {
 func AblationActWindow(o Options) ([]AblationRow, error) {
 	o = o.withDefaults()
 	variants := []bool{false, true}
-	results, failed, err := mapRuns(o, variants, func(env runEnv, noScale bool) (system.Result, error) {
-		return runSingle("429.mcf", config.LPDDRTSI, 16, 1,
-			func(s *config.System) { s.Mem.Timing.NoActWindowScaling = noScale }, o, env)
+	results, failed, err := mapRuns(o, variants, func(noScale bool) system.Spec {
+		return singleSpec("429.mcf", config.LPDDRTSI, 16, 1,
+			func(s *config.System) { s.Mem.Timing.NoActWindowScaling = noScale }, o)
 	})
 	if err != nil {
 		return nil, err
@@ -163,9 +163,9 @@ func AblationBankHash(o Options) ([]AblationRow, error) {
 			jobs = append(jobs, job{cfg, hash})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
-		return runSingle("TPC-H", config.LPDDRTSI, j.cfg[0], j.cfg[1],
-			func(s *config.System) { s.Ctrl.XORBankHash = j.hash }, o, env)
+	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
+		return singleSpec("TPC-H", config.LPDDRTSI, j.cfg[0], j.cfg[1],
+			func(s *config.System) { s.Ctrl.XORBankHash = j.hash }, o)
 	})
 	if err != nil {
 		return nil, err
@@ -203,8 +203,8 @@ func AblationRefresh(o Options) ([]AblationRow, error) {
 			jobs = append(jobs, job{cfg, mode})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
-		return runSingle("470.lbm", config.LPDDRTSI, j.cfg[0], j.cfg[1],
+	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
+		return singleSpec("470.lbm", config.LPDDRTSI, j.cfg[0], j.cfg[1],
 			func(s *config.System) {
 				switch j.mode {
 				case "off":
@@ -213,7 +213,7 @@ func AblationRefresh(o Options) ([]AblationRow, error) {
 				case "per-bank":
 					s.Mem.Timing.PerBankRefresh = true
 				}
-			}, o, env)
+			}, o)
 	})
 	if err != nil {
 		return nil, err

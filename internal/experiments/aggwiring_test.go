@@ -5,10 +5,10 @@ package experiments
 // invariant that attaching an aggregator changes no result.
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
+	"microbank/internal/config"
 	"microbank/internal/obs"
 	"microbank/internal/parallel"
 	"microbank/internal/system"
@@ -25,27 +25,26 @@ func aggValue(t *testing.T, agg *obs.Aggregator, name string) float64 {
 	return 0
 }
 
+// tinySpec is a fast single-core run for exercising the sweep wiring.
+func tinySpec(seed int64) system.Spec {
+	o := Options{Quick: true, Instr: 4000, Seed: seed}.withDefaults()
+	return singleSpec("429.mcf", config.LPDDRTSI, 1, 1, nil, o)
+}
+
 func TestMapRunsFeedsAggregator(t *testing.T) {
 	agg := obs.NewAggregator("test")
-	o := Options{Quick: true, Instr: 6000, Parallelism: 2, Agg: agg}
-	jobs := []int{10, 20, 30}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j int) (system.Result, error) {
-		if env.obs == nil {
-			t.Error("aggregated sweep cell ran without an observer")
-		} else {
-			env.obs.Registry.Counter("test.units").Add(uint64(j))
-		}
-		return system.Result{IPC: float64(j)}, nil
-	})
+	o := Options{Quick: true, Instr: 4000, Parallelism: 2, Agg: agg}
+	results, failed, err := mapRuns(o, []int64{10, 20, 30}, tinySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(failed) != 0 { // fail-fast path: no failure mask
 		t.Fatalf("failed mask = %v, want none", failed)
 	}
-	for i, r := range results {
-		if r.IPC != float64(jobs[i]) {
-			t.Fatalf("cell %d: result=%+v", i, r)
+	var instr float64
+	for _, r := range results {
+		for _, c := range r.PerCore {
+			instr += float64(c.Instructions)
 		}
 	}
 	if v := aggValue(t, agg, "sweep.done"); v != 3 {
@@ -54,23 +53,22 @@ func TestMapRunsFeedsAggregator(t *testing.T) {
 	if v := aggValue(t, agg, "sweep.inflight"); v != 0 {
 		t.Fatalf("sweep.inflight = %v, want 0", v)
 	}
-	// Per-cell snapshots merge by summation: 10+20+30.
-	if v := aggValue(t, agg, "test.units"); v != 60 {
-		t.Fatalf("merged test.units = %v, want 60", v)
+	// Per-cell snapshots merge by summation over the three cells.
+	if v := aggValue(t, agg, "cpu.instr_retired"); v != instr {
+		t.Fatalf("merged cpu.instr_retired = %v, want %v", v, instr)
 	}
 }
 
 func TestMapRunsAggregatorFailures(t *testing.T) {
 	agg := obs.NewAggregator("test")
 	res := &Resilience{Mode: parallel.FailDegrade, Retries: 1}
-	o := Options{Quick: true, Instr: 6000, Parallelism: 2, Res: res, Agg: agg}
-	attempt := 0
-	_, failed, err := mapRuns(o, []int{0, 1}, func(_ runEnv, j int) (system.Result, error) {
+	o := Options{Quick: true, Instr: 4000, Parallelism: 2, Res: res, Agg: agg}
+	_, failed, err := mapRuns(o, []int{0, 1}, func(j int) system.Spec {
+		spec := tinySpec(42)
 		if j == 1 {
-			attempt++
-			return system.Result{}, errors.New("hard failure")
+			spec.Profiles = nil // invalid: a hard, non-retryable failure
 		}
-		return system.Result{IPC: 1}, nil
+		return spec
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,8 +33,8 @@ type Options struct {
 	// picking up cells when it is done, and in-flight cells abort at
 	// their next watchdog check (system.Limits.Ctx). The CLI wires its
 	// SIGINT/SIGTERM handler here so an interrupted campaign exits
-	// through the normal error path — journal and store keep every
-	// completed cell, and artifacts flush marked aborted. Nil means
+	// through the normal error path — the store keeps every completed
+	// cell, and artifacts flush marked aborted. Nil means
 	// uncancellable, with no watchdog armed on otherwise-unbounded runs.
 	Ctx context.Context
 	// Instr is the per-core instruction budget (half of it is cache
@@ -60,8 +60,8 @@ type Options struct {
 	// write to stdout, which carries the deterministic tables.
 	Progress func(done, total int)
 	// Res, when non-nil, arms resilient sweep execution: panic
-	// isolation, per-run limits, retries, failure collection, and
-	// journaled resume. Nil selects the original fail-fast path with
+	// isolation, per-run limits, retries, failure collection, and the
+	// result store. Nil selects the original fail-fast path with
 	// zero overhead.
 	Res *Resilience
 	// Exp names the running experiment for profiling: every sweep cell
@@ -114,35 +114,22 @@ var Axis = []int{1, 2, 4, 8, 16}
 // by Figs. 10, 12, and 13.
 var RepresentativeConfigs = [][2]int{{1, 1}, {2, 8}, {4, 4}, {8, 2}}
 
-// runEnv is the per-cell execution environment mapRuns hands its run
-// callback: the cell's limits (resilient sweeps) and, when a campaign
-// aggregator is attached, the cell's registry-only observer. The zero
-// value reproduces the pre-observability behavior exactly.
-type runEnv struct {
-	lim *system.Limits
-	obs *obs.Observer
-}
-
-// runSingle executes a single-core, single-channel run (the paper's
-// setup for single-threaded SPEC and DB workloads). env carries the
-// cell's limits (watchdog deadline / event budget / cancellation) and
-// optional observer.
-func runSingle(name string, iface config.Interface, nW, nB int,
-	mut func(*config.System), o Options, env runEnv) (system.Result, error) {
+// singleSpec builds a single-core, single-channel run (the paper's
+// setup for single-threaded SPEC and DB workloads).
+func singleSpec(name string, iface config.Interface, nW, nB int,
+	mut func(*config.System), o Options) system.Spec {
 	sys := config.SingleCore(config.MemPreset(iface, nW, nB))
 	if mut != nil {
 		mut(&sys)
 	}
 	spec := system.UniformSpec(sys, workload.MustGet(name), o.Instr, o.Seed)
 	spec.WarmupInstr = o.Instr / 2
-	spec.Limits = env.lim
-	spec.Obs = env.obs
-	return system.Run(spec)
+	return spec
 }
 
-// runMulti executes a multicore run with the full channel population.
-func runMulti(profileFor func(core int) workload.Profile, iface config.Interface,
-	nW, nB int, mut func(*config.System), o Options, env runEnv) (system.Result, error) {
+// multiSpec builds a multicore run with the full channel population.
+func multiSpec(profileFor func(core int) workload.Profile, iface config.Interface,
+	nW, nB int, mut func(*config.System), o Options) system.Spec {
 	sys := config.DefaultSystem(config.MemPreset(iface, nW, nB))
 	sys.Cores = o.Cores
 	if mut != nil {
@@ -159,9 +146,8 @@ func runMulti(profileFor func(core int) workload.Profile, iface config.Interface
 	if instr < 4000 {
 		instr = 4000
 	}
-	spec := system.Spec{Sys: sys, Profiles: profs, InstrPerCore: instr,
-		WarmupInstr: instr / 2, Seed: o.Seed, Limits: env.lim, Obs: env.obs}
-	return system.Run(spec)
+	return system.Spec{Sys: sys, Profiles: profs, InstrPerCore: instr,
+		WarmupInstr: instr / 2, Seed: o.Seed}
 }
 
 // specGroup returns the benchmark names evaluated for a named workload
@@ -254,26 +240,27 @@ func (g *GridData) CSV() string {
 
 // cellMetrics captures the per-run values grids are built from.
 type cellMetrics struct {
-	ipc    float64
-	edpJs  float64
-	result system.Result
+	ipc   float64
+	edpJs float64
 }
 
 // mapRuns fans independent simulation runs out over o.Parallelism
-// workers. Results come back in job order, so callers reduce them with
-// the exact arithmetic order of the serial loops this layer replaced —
-// parallel output stays byte-identical to serial. The optional
-// Progress callback observes completions (in completion order, which
-// is schedule-dependent); it never influences results.
+// workers: build turns each job into its run spec, and mapRuns attaches
+// the cell's limits and observer and calls system.Run — the one place
+// sweep cells execute. Results come back in job order, so callers
+// reduce them with the exact arithmetic order of the serial loops this
+// layer replaced — parallel output stays byte-identical to serial. The
+// optional Progress callback observes completions (in completion order,
+// which is schedule-dependent); it never influences results.
 //
 // With o.Res nil, the sweep is fail-fast with no overhead and the
 // returned mask is nil. With o.Res armed, the sweep runs resiliently:
 // each cell is one sweep cell under parallel.MapPolicy (panic
-// isolation, retries, per-run limits via the lim argument, journal
-// lookup/record, fault injection), failures are logged as report
-// records, and under collect/degrade the sweep completes with failed
-// cells marked true in the mask (their Result is the zero value).
-func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Result, error)) ([]system.Result, []bool, error) {
+// isolation, retries, per-run limits, result-store lookup/commit, fault
+// injection), failures are logged as report records, and under
+// collect/degrade the sweep completes with failed cells marked true in
+// the mask (their Result is the zero value).
+func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Result, []bool, error) {
 	total := len(jobs)
 	var done atomic.Int64
 	note := func() {
@@ -286,24 +273,23 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 	if agg != nil {
 		aggSweep = agg.BeginSweep(total)
 	}
-	// cellRun wraps run with the aggregator's cell lifecycle: a fresh
-	// registry-only observer per cell (observation is read-only), with
-	// the boundary snapshot merged on success. With no aggregator the
-	// env is zero and this is the old call verbatim. g is the
-	// campaign-global cell index. Every cell executes under pprof labels
-	// so a CPU profile of a sweep attributes samples to individual cells
-	// and variants.
-	cellRun := func(lim *system.Limits, g, i int, j J) (res system.Result, err error) {
-		env := runEnv{lim: lim}
+	// run simulates cell i of this sweep (g is its campaign-global
+	// index) under the given limits. With an aggregator attached the
+	// cell gets a fresh registry-only observer (observation is
+	// read-only) whose boundary snapshot merges on success. Every cell
+	// executes under pprof labels so a CPU profile of a sweep attributes
+	// samples to individual cells and variants.
+	run := func(spec system.Spec, lim *system.Limits, g, i int) (res system.Result, err error) {
+		spec.Limits = lim
 		if agg != nil {
-			env.obs = obs.NewObserver()
+			spec.Obs = obs.NewObserver()
 			agg.CellStarted(aggSweep, i)
 		}
 		pprof.Do(context.Background(), pprof.Labels(
-			"exp", o.Exp, "cell", strconv.Itoa(g), "variant", fmt.Sprintf("%+v", j)),
-			func(context.Context) { res, err = run(env, j) })
+			"exp", o.Exp, "cell", strconv.Itoa(g), "variant", fmt.Sprintf("%+v", jobs[i])),
+			func(context.Context) { res, err = system.Run(spec) })
 		if agg != nil && err == nil {
-			agg.CellDone(aggSweep, i, env.obs.Registry.Gather())
+			agg.CellDone(aggSweep, i, spec.Obs.Registry.Gather())
 		}
 		return res, err
 	}
@@ -314,7 +300,7 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 	if o.Res == nil {
 		res, err := parallel.Map(o.ctx(), o.Parallelism, idx,
 			func(_ context.Context, i int) (system.Result, error) {
-				r, err := cellRun(o.limitsFor(i), i, i, jobs[i])
+				r, err := run(build(jobs[i]), o.Res.RunLimits(o.Ctx), i, i)
 				if err == nil {
 					note()
 				}
@@ -349,25 +335,11 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 	}
 	results, fails, err := parallel.MapPolicy(o.ctx(), o.Parallelism, idx, pol,
 		func(_ context.Context, i int) (system.Result, error) {
-			// Checkpoint lookups precede injection: a replayed cell is not
-			// re-run, so it cannot re-fire an injected fault. The store is
-			// consulted before the journal — it is the cross-campaign
-			// authority; the journal covers cells the store lost (or was
-			// never given).
-			if res, ok := r.storeLookup(sweep, i); ok {
-				// Keep the journal self-contained: a store-served cell is
-				// journaled too (skipped if already there), so the journal
-				// alone can still resume this campaign.
-				r.journalCheckpoint(sweep, i, res)
-				if agg != nil {
-					agg.CellReplayed(aggSweep, i)
-				}
-				note()
-				return res, nil
-			}
-			if res, ok := r.journalLookup(sweep, i); ok {
-				// Heal the store: the entry was missing or quarantined.
-				r.storeCheckpoint(sweep, i, res)
+			spec := build(jobs[i])
+			// The store lookup precedes injection: a stored cell is not
+			// re-run, so it cannot re-fire an injected fault.
+			key, res, ok := r.storeLookup(spec)
+			if ok {
 				if agg != nil {
 					agg.CellReplayed(aggSweep, i)
 				}
@@ -375,7 +347,7 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 				return res, nil
 			}
 			g := base + i
-			switch r.injectionAt(g) {
+			switch r.inject[g] {
 			case "panic":
 				panic(fmt.Sprintf("injected panic at campaign cell %d", g))
 			case "error":
@@ -385,15 +357,13 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 					return system.Result{}, errInjectedTransient
 				}
 			}
-			res, rerr := cellRun(o.limitsFor(g), g, i, jobs[i])
+			res, rerr := run(spec, r.limitsFor(o.Ctx, g), g, i)
 			if rerr != nil {
 				return system.Result{}, rerr
 			}
-			// Only healthy cells are checkpointed; failed cells re-run (and
-			// re-fail identically) on resume. A checkpoint that cannot
-			// persist degrades — one warning, persistence disabled — and
-			// never fails the healthy cell it was recording.
-			r.checkpoint(sweep, i, res)
+			// Only healthy cells are committed; failed cells re-run (and
+			// re-fail identically) on the next run against the store.
+			r.storeCommit(key, res)
 			note()
 			return res, nil
 		})
@@ -419,42 +389,43 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 	return results, failed, nil
 }
 
+// gridJob is one cell of a partition-grid sweep. It prints as
+// "<bench> (nW,nB)", so a failure record's digest names both.
+type gridJob struct {
+	name string
+	cfg  [2]int
+}
+
+func (j gridJob) String() string { return fmt.Sprintf("%s (%d,%d)", j.name, j.cfg[0], j.cfg[1]) }
+
 // runGridCells runs one workload over the full partition grid, fanning
 // the 25 independent cells out over the worker pool. Failed cells
 // (resilient sweeps under collect/degrade) are absent from the map and
 // listed in the second return value.
 func runGridCells(name string, o Options) (map[[2]int]cellMetrics, map[[2]int]bool, error) {
-	jobs := make([][2]int, 0, len(Axis)*len(Axis))
+	jobs := make([]gridJob, 0, len(Axis)*len(Axis))
 	for _, nB := range Axis {
 		for _, nW := range Axis {
-			jobs = append(jobs, [2]int{nW, nB})
+			jobs = append(jobs, gridJob{name: name, cfg: [2]int{nW, nB}})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, cfg [2]int) (system.Result, error) {
-		res, rerr := runSingle(name, config.LPDDRTSI, cfg[0], cfg[1], nil, o, env)
-		if rerr != nil {
-			return system.Result{}, fmt.Errorf("%s (%d,%d): %w", name, cfg[0], cfg[1], rerr)
-		}
-		return res, nil
+	results, failed, err := mapRuns(o, jobs, func(j gridJob) system.Spec {
+		return singleSpec(j.name, config.LPDDRTSI, j.cfg[0], j.cfg[1], nil, o)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	cells := make(map[[2]int]cellMetrics, len(jobs))
 	var failedCells map[[2]int]bool
-	for i, cfg := range jobs {
+	for i, j := range jobs {
 		if failed != nil && failed[i] {
 			if failedCells == nil {
 				failedCells = map[[2]int]bool{}
 			}
-			failedCells[cfg] = true
+			failedCells[j.cfg] = true
 			continue
 		}
-		cells[cfg] = cellMetrics{
-			ipc:    results[i].IPC,
-			edpJs:  results[i].Breakdown.EDPJs(),
-			result: results[i],
-		}
+		cells[j.cfg] = cellMetrics{ipc: results[i].IPC, edpJs: results[i].Breakdown.EDPJs()}
 	}
 	return cells, failedCells, nil
 }
@@ -473,10 +444,7 @@ func gridsFor(set string, o Options) (ipc, invEDP *GridData, err error) {
 	names := specGroup(set, o.Quick)
 	ipc = &GridData{Workload: set, Metric: "IPC", Rel: map[[2]int]float64{}}
 	invEDP = &GridData{Workload: set, Metric: "1/EDP", Rel: map[[2]int]float64{}}
-	type benchCells struct {
-		cells map[[2]int]cellMetrics
-	}
-	all := make([]benchCells, 0, len(names))
+	all := make([]map[[2]int]cellMetrics, 0, len(names))
 	degraded := false
 	for _, name := range names {
 		cells, failedCells, cerr := runGridCells(name, o)
@@ -486,12 +454,12 @@ func gridsFor(set string, o Options) (ipc, invEDP *GridData, err error) {
 		if len(failedCells) > 0 {
 			degraded = true
 		}
-		all = append(all, benchCells{cells})
+		all = append(all, cells)
 	}
 	if !degraded {
-		for _, bc := range all {
-			base := bc.cells[[2]int{1, 1}]
-			for k, c := range bc.cells {
+		for _, cells := range all {
+			base := cells[[2]int{1, 1}]
+			for k, c := range cells {
 				ipc.Rel[k] += c.ipc / base.ipc / float64(len(names))
 				invEDP.Rel[k] += base.edpJs / c.edpJs / float64(len(names))
 			}
@@ -501,15 +469,15 @@ func gridsFor(set string, o Options) (ipc, invEDP *GridData, err error) {
 	ipcSum := map[[2]int]float64{}
 	edpSum := map[[2]int]float64{}
 	cnt := map[[2]int]int{}
-	for _, bc := range all {
-		base, ok := bc.cells[[2]int{1, 1}]
+	for _, cells := range all {
+		base, ok := cells[[2]int{1, 1}]
 		if !ok {
 			continue // base failed: nothing to normalize against
 		}
 		for _, b := range Axis {
 			for _, w := range Axis {
 				k := [2]int{w, b}
-				c, ok := bc.cells[k]
+				c, ok := cells[k]
 				if !ok {
 					continue
 				}

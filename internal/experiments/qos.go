@@ -74,15 +74,15 @@ func QoSSweep(o Options) ([]QoSRow, error) {
 			jobs = append(jobs, job{oi, pi})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
+	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
 		org, pol := orgs[j.org], policies[j.pol]
-		return runMulti(workload.MixHigh().ForCore, config.LPDDRTSI, org.nw, org.nb,
+		return multiSpec(workload.MixHigh().ForCore, config.LPDDRTSI, org.nw, org.nb,
 			func(s *config.System) {
 				s.Mem.Org.Channels = 2 // concentrate interference
 				s.Mem.Org.SubarraysPerBank = org.subs
 				s.Ctrl.Scheduler = pol.sched
 				s.Ctrl.BankBudget = pol.budget
-			}, o, env)
+			}, o)
 	})
 	if err != nil {
 		return nil, err

@@ -69,7 +69,7 @@ func RelatedWork(o Options) ([]RelatedRow, error) {
 			jobs = append(jobs, job{name, pt})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
+	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
 		mut := func(*config.System) {}
 		if k := j.pt.rankSubset; k > 1 {
 			mut = func(s *config.System) {
@@ -77,7 +77,7 @@ func RelatedWork(o Options) ([]RelatedRow, error) {
 				s.Mem.Timing.TCCD *= sim.Time(k)
 			}
 		}
-		return runSingle(j.name, j.pt.Interface, j.pt.NW, j.pt.NB, mut, o, env)
+		return singleSpec(j.name, j.pt.Interface, j.pt.NW, j.pt.NB, mut, o)
 	})
 	if err != nil {
 		return nil, err

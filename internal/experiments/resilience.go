@@ -3,14 +3,18 @@ package experiments
 // Sweep resilience: Options.Res arms the resilient execution path of
 // mapRuns — per-cell panic isolation and retries (parallel.MapPolicy),
 // per-run limits (system.Limits), a structured failure log that flows
-// into the Report's failures section, and an on-disk journal that lets
-// an interrupted or partially failed campaign resume from its completed
-// cells. Cells are addressed as (sweep, cell): experiments begin their
-// sweeps serially in deterministic order, so the addressing — and
-// therefore the journal and the failure log — is stable across runs
-// and across -j widths.
+// into the Report's failures section, and the content-addressed result
+// store that lets an interrupted or partially failed campaign resume
+// by rerunning against the same store. Stored cells are keyed by what
+// they simulate — system.ModelFingerprint and the run spec's digest —
+// so identical runs are shared across experiments, and an entry never
+// outlives the model or spec that produced it. Failure records address
+// cells as (sweep, cell): experiments begin their sweeps serially in
+// deterministic order, so that addressing is stable across runs and
+// across -j widths.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,23 +66,16 @@ type Resilience struct {
 	// (system.Limits.WallClock / EventBudget).
 	Timeout     time.Duration
 	EventBudget uint64
-	// Journal, when non-nil, checkpoints completed cells so the
-	// campaign can resume.
-	Journal *Journal
-	// Store, when non-nil, is the cross-campaign content-addressed
-	// result store: completed cells are committed to it and looked up
-	// before the journal, so identical cells are never simulated twice —
-	// across resumes, across processes, across campaigns sharing the
-	// directory. StoreKey is this campaign's key within it
-	// (CampaignKey), binding entries to everything that influences
-	// results.
-	Store    *store.Store
-	StoreKey string
+	// Store, when non-nil, is the content-addressed result store:
+	// completed cells are committed to it under (ModelFingerprint, spec
+	// digest) and looked up before simulating, so an identical run is
+	// never simulated twice — across resumes, across processes, across
+	// experiments sharing the directory.
+	Store *store.Store
 	// OnDegrade, when non-nil, receives the one-line warning emitted
-	// when a persistence path degrades mid-campaign (journal or store
-	// write failure). Nil prints to stderr. Each path warns at most
-	// once; the campaign itself never fails because its checkpoints
-	// cannot persist.
+	// when store writes fail mid-campaign. Nil prints to stderr. It
+	// warns at most once; the campaign itself never fails because its
+	// results cannot persist.
 	OnDegrade func(msg string)
 	// Log accumulates structured failure records across the campaign's
 	// sweeps (created on first use if nil).
@@ -87,7 +84,7 @@ type Resilience struct {
 	inject map[int]string // campaign cell index -> injected fault kind
 	flaky  sync.Map       // cells whose injected transient already fired
 
-	journalWarn, storeWarn sync.Once
+	storeWarn sync.Once
 
 	mu     sync.Mutex
 	sweeps int
@@ -123,9 +120,6 @@ func (r *Resilience) SetInject(spec string) error {
 	return nil
 }
 
-// injectionAt returns the armed fault kind for a campaign cell.
-func (r *Resilience) injectionAt(g int) string { return r.inject[g] }
-
 // firstAttempt reports (once) that the flaky injection at campaign
 // cell g has not fired yet.
 func (r *Resilience) firstAttempt(g int) bool {
@@ -149,112 +143,53 @@ func (r *Resilience) beginSweep(total int) (base, sweep int) {
 	return base, sweep
 }
 
-// journalLookup consults the journal, if any.
-func (r *Resilience) journalLookup(sweep, cell int) (system.Result, bool) {
-	if r.Journal == nil {
-		return system.Result{}, false
-	}
-	return r.Journal.lookup(sweep, cell)
-}
-
-// storeCellAddr is the cell's address within the result store. It is
-// derivable from (sweep, cell) alone — no job description — so journal
-// migration and lookup agree on it before any sweep enumerates its
-// jobs.
-func storeCellAddr(sweep, cell int) string {
-	return fmt.Sprintf("sweep %d cell %d", sweep, cell)
-}
-
-// storeLookup consults the result store, if any. The store verifies
-// checksums on read and quarantines anything invalid, so an ok result
-// is exactly the bytes a completed run committed — and JSON round-trips
-// float64 exactly, so the decoded Result is bit-identical to the
-// original.
-func (r *Resilience) storeLookup(sweep, cell int) (system.Result, bool) {
+// storeLookup returns a cell's address in the result store — its
+// spec's digest, or "" (simulate, do not store) when no store is
+// attached or the spec has no digest (a custom generator) — and the
+// stored result when the store holds one. The store verifies checksums
+// on read and quarantines anything invalid, so a payload is exactly the
+// bytes a completed run committed, and JSON round-trips float64
+// exactly, so the decoded Result is bit-identical to the original. A
+// payload that does not re-encode to the same bytes was written by a
+// build whose Result had other fields (a decode would silently zero or
+// drop them); it is a miss, and the re-simulated cell overwrites it.
+func (r *Resilience) storeLookup(spec system.Spec) (key string, res system.Result, ok bool) {
 	if r.Store == nil {
-		return system.Result{}, false
+		return "", res, false
 	}
-	data, ok := r.Store.Get(r.StoreKey, storeCellAddr(sweep, cell))
-	if !ok {
-		return system.Result{}, false
+	key, err := spec.Digest()
+	if err != nil {
+		return "", res, false
 	}
-	var res system.Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		// Checksummed payloads do not fail to decode unless the schema
-		// moved underneath them; treat as a miss and re-simulate.
-		return system.Result{}, false
+	data, ok := r.Store.Get(system.ModelFingerprint, key)
+	if !ok || json.Unmarshal(data, &res) != nil {
+		return key, system.Result{}, false
 	}
-	return res, true
+	if again, err := json.Marshal(res); err != nil || !bytes.Equal(again, data) {
+		return key, system.Result{}, false
+	}
+	return key, res, true
 }
 
-// degrade surfaces a persistence warning: OnDegrade when set, stderr
-// otherwise.
-func (r *Resilience) degrade(msg string) {
-	if r.OnDegrade != nil {
-		r.OnDegrade(msg)
-		return
-	}
-	fmt.Fprintln(os.Stderr, "microbank: "+msg)
-}
-
-// journalCheckpoint records a completed cell in the journal, degrading
-// on failure: the first write error (disk full, permissions, torn
-// device) produces a single warning and disables further journaling —
-// it never fails the cell, whose simulation result is healthy. Cells
-// the journal already holds (store-served replays) are not re-appended.
-func (r *Resilience) journalCheckpoint(sweep, cell int, res system.Result) {
-	if r.Journal == nil || r.Journal.has(sweep, cell) {
-		return
-	}
-	if err := r.Journal.record(sweep, cell, res); err != nil {
-		r.journalWarn.Do(func() {
-			r.degrade(fmt.Sprintf("warning: %v — journaling disabled, campaign continues without checkpoints", err))
-		})
-	}
-}
-
-// storeCheckpoint commits a completed cell to the result store,
-// degrading on failure with the store's own sticky write-disable.
-func (r *Resilience) storeCheckpoint(sweep, cell int, res system.Result) {
-	if r.Store == nil {
+// storeCommit commits a freshly simulated cell to the result store.
+// A commit that cannot persist degrades — the store's sticky write
+// disable plus one warning — and never fails the healthy cell.
+func (r *Resilience) storeCommit(key string, res system.Result) {
+	if key == "" {
 		return
 	}
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return
 	}
-	if err := r.Store.Put(r.StoreKey, storeCellAddr(sweep, cell), payload); err != nil {
+	if err := r.Store.Put(system.ModelFingerprint, key, payload); err != nil {
 		r.storeWarn.Do(func() {
-			r.degrade("warning: " + err.Error())
+			if r.OnDegrade != nil {
+				r.OnDegrade("warning: " + err.Error())
+			} else {
+				fmt.Fprintln(os.Stderr, "microbank: warning: "+err.Error())
+			}
 		})
-	}
-}
-
-// checkpoint persists a freshly simulated cell everywhere the campaign
-// checkpoints — journal and store — with degrade-don't-fail semantics
-// on both.
-func (r *Resilience) checkpoint(sweep, cell int, res system.Result) {
-	r.journalCheckpoint(sweep, cell, res)
-	r.storeCheckpoint(sweep, cell, res)
-}
-
-// MigrateJournal seeds the result store with every cell the journal
-// already holds, so a campaign resumed from a journal written before
-// the store existed — or pointed at a fresh store directory — shares
-// its completed work immediately. Cells the store already has are
-// skipped without touching the hit/miss counters.
-func (r *Resilience) MigrateJournal() {
-	if r == nil || r.Store == nil || r.Journal == nil {
-		return
-	}
-	for k, res := range r.Journal.Snapshot() {
-		if r.Store.Has(r.StoreKey, storeCellAddr(k[0], k[1])) {
-			continue
-		}
-		r.storeCheckpoint(k[0], k[1], res)
-		if r.Store.WriteErr() != nil {
-			return // store degraded; the warning already fired
-		}
 	}
 }
 
@@ -290,39 +225,26 @@ func (r *Resilience) RegisterMetrics(reg *obs.Registry) {
 	}
 }
 
-// limitsFor builds the per-run limits for campaign cell g: the
-// campaign-wide timeout/event budget, or an injected limit fault that
-// deterministically trips at the first watchdog check. A caller
-// context (Options.Ctx — the CLI's signal handler) rides along so an
-// interrupt cancels in-flight cells at the next watchdog check; the
-// armed watchdog is read-only and never perturbs results.
-func (o Options) limitsFor(g int) *system.Limits {
-	r := o.Res
-	if r == nil {
-		if o.Ctx != nil {
-			return &system.Limits{Ctx: o.Ctx}
-		}
-		return nil
-	}
-	switch r.injectionAt(g) {
+// limitsFor builds the per-run limits for campaign cell g: an injected
+// limit fault that deterministically trips at the first watchdog
+// check, or the campaign's RunLimits.
+func (r *Resilience) limitsFor(ctx context.Context, g int) *system.Limits {
+	switch r.inject[g] {
 	case "timeout":
 		return &system.Limits{WallClock: time.Nanosecond, CheckEvents: injectCheckEvents}
 	case "budget":
 		return &system.Limits{EventBudget: 1, CheckEvents: injectCheckEvents}
 	}
-	if r.Timeout <= 0 && r.EventBudget == 0 {
-		if o.Ctx != nil {
-			return &system.Limits{Ctx: o.Ctx}
-		}
-		return nil
-	}
-	return &system.Limits{Ctx: o.Ctx, WallClock: r.Timeout, EventBudget: r.EventBudget}
+	return r.RunLimits(ctx)
 }
 
-// RunLimits returns the limits a single ad-hoc run (-exp run) inherits
-// from the campaign flags: the wall-clock deadline and event budget,
-// or nil when unbounded. ctx (which may be nil) threads the caller's
-// cancellation — the CLI's signal handler — into the run's watchdog.
+// RunLimits returns the limits every run inherits from the campaign
+// flags: the wall-clock deadline and event budget, or nil when
+// unbounded. ctx (which may be nil) threads the caller's cancellation —
+// the CLI's signal handler — into the run's watchdog, so an interrupt
+// cancels in-flight runs at their next watchdog check; the armed
+// watchdog is read-only and never perturbs results. A nil receiver
+// (no resilience flags) yields only the cancellation.
 func (r *Resilience) RunLimits(ctx context.Context) *system.Limits {
 	if r == nil || (r.Timeout <= 0 && r.EventBudget == 0) {
 		if ctx != nil {
@@ -397,7 +319,7 @@ func (l *FailureLog) Failures() []ReportFailure {
 // kind (deadline/event-budget/livelock/cancelled/stall, with the
 // machine diagnostic attached), panic (cleaned stack attached), or
 // plain error. Elapsed time is deliberately dropped — failure records
-// must be byte-identical across runs for journaled resume.
+// must be byte-identical across reruns against the same store.
 func failureRecord(sweep int, te *parallel.TaskError) ReportFailure {
 	f := ReportFailure{
 		Sweep:    sweep,
@@ -437,5 +359,5 @@ func partialUnsupported(exp string, failed []bool) error {
 	if n == 0 {
 		return nil
 	}
-	return fmt.Errorf("%s: %d cell(s) failed and this experiment's reduction has no degraded form; fix the failures and -resume, or rerun with -fail-mode=fail-fast", exp, n)
+	return fmt.Errorf("%s: %d cell(s) failed and this experiment's reduction has no degraded form; fix the failures and rerun against the same -store, or rerun with -fail-mode=fail-fast", exp, n)
 }

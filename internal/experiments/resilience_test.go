@@ -12,6 +12,7 @@ import (
 
 	"microbank/internal/check"
 	"microbank/internal/check/golden"
+	"microbank/internal/config"
 	"microbank/internal/obs"
 	"microbank/internal/parallel"
 	"microbank/internal/system"
@@ -125,73 +126,67 @@ func TestDegradedSweepAcceptance(t *testing.T) {
 	}
 }
 
-// TestResumeByteIdenticalReport interrupts a journaled campaign
-// (truncating the journal to a prefix plus a torn trailing line), then
-// resumes it and requires the final report — gains, failure records,
-// everything — to be byte-identical to an uninterrupted run's.
+// TestResumeByteIdenticalReport interrupts a store-backed campaign
+// (deleting some of its committed entries, as a kill before their
+// commit would have left it), then reruns it against the same store:
+// the final report — gains, failure records, everything — must be
+// byte-identical to the uninterrupted run's. The surviving entries are
+// served, and the injected cells, never committed, fail again.
 func TestResumeByteIdenticalReport(t *testing.T) {
 	dir := t.TempDir()
-	inject := "panic:1,timeout:3"
-	newRes := func(j *Journal) *Resilience {
-		r := &Resilience{Mode: parallel.FailDegrade, Journal: j}
-		if err := r.SetInject(inject); err != nil {
+	newRes := func() *Resilience {
+		r := storeRes(t, dir, nil, nil)
+		if err := r.SetInject("panic:1,timeout:3"); err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	key := CampaignKey("headline", resOpts(nil))
-
-	// Reference: uninterrupted journaled run.
-	jA, err := OpenJournal(filepath.Join(dir, "a.journal"), key, false)
+	want := headlineReport(t, resOpts(newRes()))
+	entries, err := filepath.Glob(filepath.Join(dir, "*.res"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := headlineReport(t, resOpts(newRes(jA)))
-	if err := jA.Close(); err != nil {
-		t.Fatal(err)
+	if len(entries) != 4 {
+		t.Fatalf("store holds %d entries, want the 4 healthy cells", len(entries))
 	}
-
-	// Interrupted run: complete once, then cut the journal down to the
-	// header plus two cells and a torn half-written line.
-	pathB := filepath.Join(dir, "b.journal")
-	jB, err := OpenJournal(pathB, key, false)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range entries[:2] {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	headlineReport(t, resOpts(newRes(jB)))
-	if err := jB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(raw), "\n")
-	if len(lines) < 4 {
-		t.Fatalf("journal too short to truncate: %d lines", len(lines))
-	}
-	cut := strings.Join(lines[:3], "") + `{"sweep":0,"cel`
-	if err := os.WriteFile(pathB, []byte(cut), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume from the truncated journal.
-	jB2, err := OpenJournal(pathB, key, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jB2.Cells() != 2 {
-		t.Fatalf("resumed journal holds %d cells, want the 2 surviving ones", jB2.Cells())
-	}
-	got := headlineReport(t, resOpts(newRes(jB2)))
-	if jB2.Hits() != 2 {
-		t.Fatalf("resume served %d cells from the journal, want 2", jB2.Hits())
-	}
-	if err := jB2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
+	rerun := newRes()
+	got := headlineReport(t, resOpts(rerun))
+	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed report differs from uninterrupted run:\n%s", golden.Diff(want, got))
+	}
+	st := rerun.Store.Stats()
+	if st.Hits != 2 || st.Misses != 4 || st.Puts != 2 {
+		t.Fatalf("rerun store stats = %+v, want 2 hits (the surviving entries), 4 misses, 2 puts", st)
+	}
+	fails := rerun.Log.Failures()
+	if len(fails) != 2 || fails[0].Kind != FailKindPanic || fails[1].Kind != system.LimitDeadline {
+		t.Fatalf("rerun failures = %+v, want the injected panic and deadline again", fails)
+	}
+}
+
+// TestGridFailureNamesCell: a failed partition-grid cell's record
+// names the benchmark and the (nW,nB) configuration it ran.
+func TestGridFailureNamesCell(t *testing.T) {
+	res := &Resilience{Mode: parallel.FailDegrade}
+	if err := res.SetInject("error:3"); err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Quick: true, Instr: 4000, Parallelism: 2, Res: res}.withDefaults()
+	_, failed, err := runGridCells("429.mcf", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failed) != 1 || !failed[[2]int{8, 1}] {
+		t.Fatalf("failed cells = %v, want only (8,1)", failed)
+	}
+	fails := res.Log.Failures()
+	if len(fails) != 1 || !strings.Contains(fails[0].Digest, "429.mcf (8,1)") {
+		t.Fatalf("failure records = %+v, want one whose digest names 429.mcf (8,1)", fails)
 	}
 }
 
@@ -202,18 +197,18 @@ func TestProtocolViolationIsolated(t *testing.T) {
 	res := &Resilience{Mode: parallel.FailDegrade}
 	o := resOpts(res)
 	jobs := []int{0, 1, 2, 3}
-	results, failed, err := mapRuns(o, jobs, func(_ runEnv, j int) (system.Result, error) {
+	results, failed, err := mapRuns(o, jobs, func(j int) system.Spec {
 		if j == 2 {
 			panic(&check.FatalViolation{V: check.Violation{
 				Rule: check.RuleTRCD, Cmd: obs.CmdRD, At: 100, Earliest: 200}})
 		}
-		return system.Result{IPC: float64(j) + 1}, nil
+		return singleSpec("429.mcf", config.LPDDRTSI, 1, 1, nil, o.withDefaults())
 	})
 	if err != nil {
 		t.Fatalf("degraded sweep errored: %v", err)
 	}
 	for i, r := range results {
-		if i != 2 && r.IPC != float64(i)+1 {
+		if i != 2 && r.IPC <= 0 {
 			t.Fatalf("sibling %d lost its result: %+v", i, r)
 		}
 	}
@@ -285,75 +280,9 @@ func TestSetInjectErrors(t *testing.T) {
 	if err := r.SetInject("panic:1,timeout:3,flaky:0"); err != nil {
 		t.Fatalf("SetInject rejected a valid spec: %v", err)
 	}
-	if r.injectionAt(3) != "timeout" || r.injectionAt(2) != "" {
+	if r.inject[3] != "timeout" || r.inject[2] != "" {
 		t.Fatalf("inject map wrong: %+v", r.inject)
 	}
-}
-
-func TestCampaignKey(t *testing.T) {
-	a := CampaignKey("headline", Options{Quick: true, Instr: 6000, Parallelism: 2})
-	b := CampaignKey("headline", Options{Quick: true, Instr: 6000, Parallelism: 8})
-	if a != b {
-		t.Fatalf("parallelism leaked into the campaign key: %q vs %q", a, b)
-	}
-	c := CampaignKey("headline", Options{Quick: true, Instr: 7000, Parallelism: 2})
-	if a == c {
-		t.Fatalf("instruction budget not in the campaign key: %q", a)
-	}
-	want := "headline|schema=1|quick=true|instr=6000|cores=16|seed=42"
-	if a != want {
-		t.Fatalf("CampaignKey = %q, want %q", a, want)
-	}
-}
-
-func TestJournalKeyMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.journal")
-	j, err := OpenJournal(path, "campaign-a", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.record(0, 0, system.Result{IPC: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenJournal(path, "campaign-b", true); err == nil ||
-		!strings.Contains(err.Error(), "campaign-a") {
-		t.Fatalf("resume with wrong key = %v, want key-mismatch error", err)
-	}
-	// The right key resumes fine.
-	j2, err := OpenJournal(path, "campaign-a", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, ok := j2.lookup(0, 0); !ok || res.IPC != 1 {
-		t.Fatalf("resumed cell = %+v/%v, want the recorded result", res, ok)
-	}
-	j2.Close()
-}
-
-func TestJournalNotAJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.journal")
-	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenJournal(path, "k", true); err == nil {
-		t.Fatal("resume from a non-journal file succeeded")
-	}
-}
-
-func TestJournalResumeFresh(t *testing.T) {
-	// -resume with no existing journal starts a fresh campaign.
-	path := filepath.Join(t.TempDir(), "j.journal")
-	j, err := OpenJournal(path, "k", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Cells() != 0 {
-		t.Fatalf("fresh journal holds %d cells", j.Cells())
-	}
-	j.Close()
 }
 
 // TestResilientHealthySweepByteIdentical: arming resilience (with

@@ -70,13 +70,6 @@ type fig10Job struct {
 	cfg  [2]int
 }
 
-func (j fig10Job) run(o Options, env runEnv) (system.Result, error) {
-	if j.name == "" {
-		return runMulti(multiProfile(j.set), config.LPDDRTSI, j.cfg[0], j.cfg[1], nil, o, env)
-	}
-	return runSingle(j.name, config.LPDDRTSI, j.cfg[0], j.cfg[1], nil, o, env)
-}
-
 // Fig10 evaluates the representative μbank configurations on the
 // paper's Fig. 10 workloads, reporting relative IPC/EDP and the power
 // breakdown; each workload is normalized to its own (1,1) run. All
@@ -100,8 +93,12 @@ func Fig10(o Options) ([]Fig10Row, error) {
 			jobs = append(jobs, fig10Job{set: set, cfg: cfg})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs,
-		func(env runEnv, j fig10Job) (system.Result, error) { return j.run(o, env) })
+	results, failed, err := mapRuns(o, jobs, func(j fig10Job) system.Spec {
+		if j.name == "" {
+			return multiSpec(multiProfile(j.set), config.LPDDRTSI, j.cfg[0], j.cfg[1], nil, o)
+		}
+		return singleSpec(j.name, config.LPDDRTSI, j.cfg[0], j.cfg[1], nil, o)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -268,18 +265,18 @@ func Fig12(o Options, sets ...string) ([]Fig12Row, error) {
 			}
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j fig12Job) (system.Result, error) {
+	results, failed, err := mapRuns(o, jobs, func(j fig12Job) system.Spec {
 		if j.base {
-			return runSingle(j.name, config.LPDDRTSI, 1, 1, func(s *config.System) {
+			return singleSpec(j.name, config.LPDDRTSI, 1, 1, func(s *config.System) {
 				s.Ctrl.PagePolicy = config.OpenPage
 				s.Ctrl.InterleaveBit = 13
-			}, o, env)
+			}, o)
 		}
-		return runSingle(j.name, config.LPDDRTSI, j.cfg[0], j.cfg[1],
+		return singleSpec(j.name, config.LPDDRTSI, j.cfg[0], j.cfg[1],
 			func(s *config.System) {
 				s.Ctrl.PagePolicy = j.pol
 				s.Ctrl.InterleaveBit = j.iB
-			}, o, env)
+			}, o)
 	})
 	if err != nil {
 		return nil, err
@@ -402,12 +399,12 @@ func Fig13(o Options) ([]Fig13Row, error) {
 			}
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j fig13Job) (system.Result, error) {
+	results, failed, err := mapRuns(o, jobs, func(j fig13Job) system.Spec {
 		mut := func(s *config.System) { s.Ctrl.PagePolicy = j.pol }
 		if j.name == "" {
-			return runMulti(multiProfile(j.w), config.LPDDRTSI, j.cfg[0], j.cfg[1], mut, o, env)
+			return multiSpec(multiProfile(j.w), config.LPDDRTSI, j.cfg[0], j.cfg[1], mut, o)
 		}
-		return runSingle(j.name, config.LPDDRTSI, j.cfg[0], j.cfg[1], mut, o, env)
+		return singleSpec(j.name, config.LPDDRTSI, j.cfg[0], j.cfg[1], mut, o)
 	})
 	if err != nil {
 		return nil, err
@@ -509,11 +506,11 @@ func Fig14(o Options) ([]Fig14Row, error) {
 			}
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j fig14Job) (system.Result, error) {
+	results, failed, err := mapRuns(o, jobs, func(j fig14Job) system.Spec {
 		if j.name == "" {
-			return runMulti(multiProfile(j.w), j.iface, 1, 1, nil, o, env)
+			return multiSpec(multiProfile(j.w), j.iface, 1, 1, nil, o)
 		}
-		return runSingle(j.name, j.iface, 1, 1, nil, o, env)
+		return singleSpec(j.name, j.iface, 1, 1, nil, o)
 	})
 	if err != nil {
 		return nil, err
@@ -610,11 +607,11 @@ func Headline(o Options) (HeadlineResult, error) {
 	for _, name := range names {
 		jobs = append(jobs, headlineJob{name: name}, headlineJob{name: name, ubank: true})
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j headlineJob) (system.Result, error) {
+	results, failed, err := mapRuns(o, jobs, func(j headlineJob) system.Spec {
 		if j.ubank {
-			return runSingle(j.name, config.LPDDRTSI, 2, 8, nil, o, env)
+			return singleSpec(j.name, config.LPDDRTSI, 2, 8, nil, o)
 		}
-		return runSingle(j.name, config.DDR3PCB, 1, 1, nil, o, env)
+		return singleSpec(j.name, config.DDR3PCB, 1, 1, nil, o)
 	})
 	var out HeadlineResult
 	if err != nil {

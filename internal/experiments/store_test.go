@@ -2,19 +2,23 @@ package experiments
 
 // Integration tests for the content-addressed result store under the
 // campaign layer: byte-identity with the store on and off, cross-
-// campaign sharing, corruption healing, journal migration, and the
-// degrade-don't-fail contract for checkpoint write failures (the
-// journalRecord regression the fault-injecting FS makes testable).
+// campaign sharing, the (model fingerprint, spec digest) key,
+// corruption and schema-drift healing, and the degrade-don't-fail
+// contract for store write failures (which the fault-injecting FS
+// makes testable).
 
 import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"microbank/internal/check/golden"
+	"microbank/internal/config"
 	"microbank/internal/parallel"
 	"microbank/internal/store"
+	"microbank/internal/system"
 )
 
 // storeRes builds a degrade-mode Resilience checkpointing into a store
@@ -26,7 +30,6 @@ func storeRes(t *testing.T, dir string, fsys store.FS, warns *[]string) *Resilie
 		t.Fatalf("store.Open: %v", err)
 	}
 	r := &Resilience{Mode: parallel.FailDegrade, Store: s}
-	r.StoreKey = CampaignKey("headline", resOpts(r))
 	if warns != nil {
 		r.OnDegrade = func(msg string) { *warns = append(*warns, msg) }
 	}
@@ -115,116 +118,138 @@ func TestStoreCorruptEntryResimulated(t *testing.T) {
 	}
 }
 
-// TestJournalMigratesIntoStore opens a journal-only campaign, then
-// attaches a store: MigrateJournal must seed it with every journaled
-// cell, and the next campaign replays entirely from the store.
-func TestJournalMigratesIntoStore(t *testing.T) {
-	tmp := t.TempDir()
-	jpath := filepath.Join(tmp, "campaign.journal")
-
-	rj := &Resilience{Mode: parallel.FailDegrade}
-	key := CampaignKey("headline", resOpts(rj))
-	j, err := OpenJournal(jpath, key, false)
-	if err != nil {
-		t.Fatal(err)
+// headlineSpecs are the run specs of the resOpts headline campaign,
+// in job order.
+func headlineSpecs() []system.Spec {
+	o := resOpts(nil).withDefaults()
+	var specs []system.Spec
+	for _, name := range specGroup("spec-high", o.Quick) {
+		specs = append(specs,
+			singleSpec(name, config.DDR3PCB, 1, 1, nil, o),
+			singleSpec(name, config.LPDDRTSI, 2, 8, nil, o))
 	}
-	rj.Journal = j
-	plain := headlineReport(t, resOpts(rj))
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cells := rj.Journal.Cells()
-	if cells == 0 {
-		t.Fatal("journal-only campaign checkpointed nothing")
-	}
-
-	// Resume with a store attached: migration seeds it before any sweep.
-	r := storeRes(t, filepath.Join(tmp, "store"), nil, nil)
-	j2, err := OpenJournal(jpath, key, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Journal = j2
-	r.MigrateJournal()
-	if got := r.Store.Entries(); got != cells {
-		t.Fatalf("migration seeded %d entries, journal holds %d", got, cells)
-	}
-	// Migration is idempotent: a second pass writes nothing new.
-	puts := r.Store.Stats().Puts
-	r.MigrateJournal()
-	if got := r.Store.Stats().Puts; got != puts {
-		t.Fatalf("second migration wrote %d new entries", got-puts)
-	}
-	got := headlineReport(t, resOpts(r))
-	if !bytes.Equal(got, plain) {
-		t.Fatalf("migrated campaign report drifted:\n%s", golden.Diff(plain, got))
-	}
-	if st := r.Store.Stats(); st.Hits == 0 {
-		t.Fatalf("migrated campaign did not replay from the store: %+v", st)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return specs
 }
 
-// TestJournalWriteFailureDegrades is the satellite-1 regression test:
-// a mid-campaign journal write failure (disk full) must not fail the
-// healthy cells it was checkpointing — the campaign completes with
-// zero failure records, one warning fires, and journaling is disabled.
-func TestJournalWriteFailureDegrades(t *testing.T) {
-	efs := store.NewErrFS(nil)
-	jpath := filepath.Join(t.TempDir(), "campaign.journal")
-	r := &Resilience{Mode: parallel.FailDegrade}
-	var warns []string
-	r.OnDegrade = func(msg string) { warns = append(warns, msg) }
-	j, err := OpenJournalFS(jpath, CampaignKey("headline", resOpts(r)), false, efs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Journal = j
-	// Every write after the header fails: the first cell checkpoint
-	// breaks the journal, and the sticky error must stay a warning.
-	efs.Inject(store.Fault{Op: store.OpWrite, Match: "campaign.journal",
-		Skip: 1, Count: 1 << 20, Err: store.ErrNoSpace})
-
+// TestStoreServesOnlyCurrentEntries seeds a store with every cell's
+// committed payload, stored as it is now (the control: all served), as
+// a build with another model fingerprint would have stored it, and as a
+// build whose Result had one field fewer or one unknown field more
+// would have encoded it. Those entries must all miss — decoding a
+// drifted payload would silently zero or drop data — so every cell is
+// re-simulated and rewritten, and the report stays byte-identical.
+func TestStoreServesOnlyCurrentEntries(t *testing.T) {
 	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
-	got := headlineReport(t, resOpts(r))
-	if !bytes.Equal(got, plain) {
-		t.Fatalf("journal-degraded report drifted from plain run:\n%s", golden.Diff(plain, got))
-	}
-	if n := r.Log.Len(); n != 0 {
-		t.Fatalf("journal write failure produced %d cell failures: %+v", n, r.Log.Failures())
-	}
-	if len(warns) != 1 {
-		t.Fatalf("got %d degrade warnings, want exactly 1: %q", len(warns), warns)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close of a degraded-and-warned journal = %v, want nil", err)
+	ref := storeRes(t, t.TempDir(), nil, nil)
+	headlineReport(t, resOpts(ref))
+	specs := headlineSpecs()
+	same := func(p []byte) []byte { return p }
+	for _, tc := range []struct {
+		name   string
+		fp     string
+		edit   func([]byte) []byte
+		served bool
+	}{
+		{"current", system.ModelFingerprint, same, true},
+		{"old fingerprint", "fingerprint of an older model", same, false},
+		{"missing field", system.ModelFingerprint, func(p []byte) []byte {
+			return regexp.MustCompile(`,"MAPKI":[^,]*`).ReplaceAll(p, nil)
+		}, false},
+		{"unknown field", system.ModelFingerprint, func(p []byte) []byte {
+			return append([]byte(`{"RetiredField":1,`), p[1:]...)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seed, err := store.Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range specs {
+				key, _ := spec.Digest()
+				payload, ok := ref.Store.Get(system.ModelFingerprint, key)
+				if !ok {
+					t.Fatal("reference campaign left a cell uncommitted")
+				}
+				if err := seed.Put(tc.fp, key, tc.edit(payload)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := storeRes(t, dir, nil, nil)
+			if got := headlineReport(t, resOpts(r)); !bytes.Equal(got, plain) {
+				t.Fatalf("seeded store changed the report:\n%s", golden.Diff(plain, got))
+			}
+			want := uint64(len(specs)) // every cell re-simulated
+			if tc.served {
+				want = 0
+			}
+			if st := r.Store.Stats(); st.Puts != want {
+				t.Fatalf("store stats = %+v, want %d cells re-simulated", st, want)
+			}
+		})
 	}
 }
 
-// TestStoreWriteFailureDegrades: same contract on the store side —
-// ENOSPC on every staged write disables store commits with a single
-// warning while the campaign's results stay byte-identical.
+// TestStoreSharedAcrossExperiments: Fig. 10's single-core points are a
+// subset of the Fig. 8/9 grid, and the grid repeats 429.mcf (its own
+// panel and a spec-high member), so a store shares runs within and
+// across experiments — each distinct spec is simulated once, whatever
+// the sweep width (-j is not part of what a cell simulates).
+func TestStoreSharedAcrossExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick Fig. 8 and Fig. 10 sweeps")
+	}
+	o := Options{Quick: true, Instr: 4000, Parallelism: 2}
+	r := storeRes(t, t.TempDir(), nil, nil)
+	o.Res = r
+	if _, err := Fig8(o); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Store.Stats(); st.Hits != 25 || st.Misses != 100 || st.Puts != 100 {
+		t.Fatalf("fig8 store stats = %+v, want 25 hits, 100 misses, 100 puts", st)
+	}
+	o.Parallelism = 1
+	if _, err := Fig10(o); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Store.Stats(); st.Hits != 25+24 || st.Misses != 100+28 || st.Puts != 100+28 {
+		t.Fatalf("fig8+fig10 store stats = %+v, want 49 hits, 128 misses, 128 puts", st)
+	}
+}
+
+// TestStoreWriteFailureDegrades: a store write failure (ENOSPC) —
+// from the first commit, or mid-campaign after some commits landed —
+// disables store commits with a single warning while the campaign's
+// results stay byte-identical and no healthy cell is failed.
 func TestStoreWriteFailureDegrades(t *testing.T) {
-	efs := store.NewErrFS(nil)
-	var warns []string
-	r := storeRes(t, t.TempDir(), efs, &warns)
-	efs.Inject(store.Fault{Op: store.OpWrite, Match: "tmp",
-		Count: 1 << 20, Err: store.ErrNoSpace})
-
 	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
-	got := headlineReport(t, resOpts(r))
-	if !bytes.Equal(got, plain) {
-		t.Fatalf("store-degraded report drifted from plain run:\n%s", golden.Diff(plain, got))
-	}
-	if n := r.Log.Len(); n != 0 {
-		t.Fatalf("store write failure produced %d cell failures: %+v", n, r.Log.Failures())
-	}
-	if len(warns) != 1 {
-		t.Fatalf("got %d degrade warnings, want exactly 1: %q", len(warns), warns)
-	}
-	if r.Store.WriteErr() == nil {
-		t.Fatal("store writes not disabled after injected ENOSPC")
+	for _, tc := range []struct {
+		name string
+		skip int // staged writes that succeed before ENOSPC
+	}{{"first commit", 0}, {"mid-campaign", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			efs := store.NewErrFS(nil)
+			var warns []string
+			r := storeRes(t, t.TempDir(), efs, &warns)
+			efs.Inject(store.Fault{Op: store.OpWrite, Match: "tmp",
+				Skip: tc.skip, Count: 1 << 20, Err: store.ErrNoSpace})
+
+			got := headlineReport(t, resOpts(r))
+			if !bytes.Equal(got, plain) {
+				t.Fatalf("store-degraded report drifted from plain run:\n%s", golden.Diff(plain, got))
+			}
+			if n := r.Log.Len(); n != 0 {
+				t.Fatalf("store write failure produced %d cell failures: %+v", n, r.Log.Failures())
+			}
+			if len(warns) != 1 {
+				t.Fatalf("got %d degrade warnings, want exactly 1: %q", len(warns), warns)
+			}
+			if r.Store.WriteErr() == nil {
+				t.Fatal("store writes not disabled after injected ENOSPC")
+			}
+			if got := r.Store.Stats().Puts; got != uint64(tc.skip) {
+				t.Fatalf("%d entries committed, want the %d before the failure", got, tc.skip)
+			}
+		})
 	}
 }

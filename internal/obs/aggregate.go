@@ -121,7 +121,7 @@ func (a *Aggregator) SetStoreStats(fn func() (hits, misses, quarantined uint64))
 
 // BeginSweep registers a sweep of total cells and returns its index.
 // Sweeps begin serially in the experiment layer, so indices match the
-// resilience journal's sweep numbering.
+// sweep numbering of the campaign's failure records.
 func (a *Aggregator) BeginSweep(total int) int {
 	a.mu.Lock()
 	a.sweeps = append(a.sweeps, sweepState{Total: total})
@@ -162,9 +162,9 @@ func (a *Aggregator) CellDone(sweep, cell int, samples []Sample) {
 	a.publishProgress()
 }
 
-// CellReplayed marks a cell satisfied from the resilience journal: it
-// counts as done but contributes no metric snapshot (the run that
-// produced it was a previous process).
+// CellReplayed marks a cell served from the result store: it counts as
+// done but contributes no metric snapshot (the run that produced it
+// was an earlier one).
 func (a *Aggregator) CellReplayed(sweep, cell int) {
 	a.mu.Lock()
 	delete(a.inflight, cellKey{sweep, cell})

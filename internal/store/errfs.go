@@ -3,9 +3,8 @@ package store
 // ErrFS: the injectable filesystem fault layer. Tests (and the
 // durability smokes) wrap a real FS in an ErrFS and arm Faults —
 // short writes, ENOSPC, EIO, fsync failures, failed renames — that
-// fire deterministically on the Nth matching operation. The store and
-// journal must degrade (quarantine, disable, warn) under every one of
-// these, never panic or return a silently wrong result; the fault
+// fire deterministically on the Nth matching operation. The store must
+// degrade (quarantine, disable, warn) under every one of these, never panic or return a silently wrong result; the fault
 // layer is what makes that claim testable.
 
 import (

@@ -1,9 +1,9 @@
 package store
 
-// The filesystem seam. Every disk operation the store (and the sweep
-// journal) performs goes through the FS interface, so durability logic
-// can be tested against an injectable fault layer (ErrFS) without
-// touching the real disk error paths: short writes, ENOSPC, EIO,
+// The filesystem seam. Every disk operation the store performs goes
+// through the FS interface, so durability logic can be tested against
+// an injectable fault layer (ErrFS) without touching the real disk
+// error paths: short writes, ENOSPC, EIO,
 // fsync failures, and rename races all become deterministic test
 // inputs instead of hardware lottery tickets.
 

@@ -1,16 +1,18 @@
 // Package store is a crash-safe, content-addressed result store: the
 // persistence substrate under the experiment layer's sweep campaigns.
 // Each entry holds one completed sweep cell's serialized result, keyed
-// by the SHA-256 digest of (campaign key, cell address) — so re-running
-// any campaign against the same store directory, from the same or a
-// different process, replays completed cells instead of re-simulating
-// them, and identical cells are never simulated twice across users.
+// by the SHA-256 digest of a (campaign, cell) pair of strings; the
+// experiment layer passes (model fingerprint, run-spec digest), so
+// re-running any campaign against the same store directory, from the
+// same or a different process, replays completed cells instead of
+// re-simulating them, and identical runs are never simulated twice —
+// within a campaign, across experiments, or across users.
 //
 // Durability discipline:
 //
 //   - Every entry is checksummed (CRC32-Castagnoli over the payload)
 //     and self-describing: a metadata line binds the entry to its
-//     campaign and cell, so a renamed, truncated, or bit-flipped file
+//     (campaign, cell) pair, so a renamed, truncated, or bit-flipped file
 //     is detected, not trusted.
 //   - Writes are atomic: payloads land in a tmp/ staging file, are
 //     fsynced, and only then renamed over the final name; the directory
@@ -240,26 +242,20 @@ func (s *Store) quarantine(name string) {
 func (s *Store) Get(campaign, cell string) ([]byte, bool) {
 	name := Key(campaign, cell) + entryExt
 	data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			// Readable-in-name-only (EIO and friends): set it aside so the
-			// rewrite after re-simulation starts from a clean slot.
-			s.quarantine(name)
-			s.entries.Add(-1)
-		}
+	if os.IsNotExist(err) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	m, payload, err := parseEntry(data, name)
-	if err != nil {
-		s.quarantine(name)
-		s.entries.Add(-1)
-		s.misses.Add(1)
-		return nil, false
+	var m meta
+	var payload []byte
+	if err == nil {
+		m, payload, err = parseEntry(data, name)
 	}
-	if m.Campaign != campaign || m.Cell != cell {
-		// A full SHA-256 preimage collision is not a thing; this is a
-		// copied/planted file. Quarantine it.
+	// An unreadable entry (EIO and friends), an invalid one, or one bound
+	// to another (campaign, cell) — a copied or planted file, since a
+	// SHA-256 preimage collision is not a thing — is set aside, so the
+	// rewrite after re-simulation starts from a clean slot.
+	if err != nil || m.Campaign != campaign || m.Cell != cell {
 		s.quarantine(name)
 		s.entries.Add(-1)
 		s.misses.Add(1)
@@ -267,15 +263,6 @@ func (s *Store) Get(campaign, cell string) ([]byte, bool) {
 	}
 	s.hits.Add(1)
 	return append([]byte(nil), payload...), true
-}
-
-// Has reports whether an entry file exists for (campaign, cell),
-// without validating it and without touching the hit/miss counters —
-// the cheap pre-check journal migration uses to skip cells already
-// shared.
-func (s *Store) Has(campaign, cell string) bool {
-	_, err := s.fs.ReadFile(filepath.Join(s.dir, Key(campaign, cell)+entryExt))
-	return err == nil
 }
 
 // Put durably stores payload for (campaign, cell): staged write,
@@ -383,6 +370,3 @@ func (s *Store) Entries() int {
 	}
 	return int(n)
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }

@@ -33,7 +33,7 @@ func TestEventBudgetTripsDeterministically(t *testing.T) {
 	a, b := run(), run()
 	// The budget trips at a watchdog check, so the snapshot is pure
 	// simulation state — identical across runs, which is what lets a
-	// budget failure be journaled and replayed byte-for-byte.
+	// rerun reproduce a budget failure's record byte-for-byte.
 	aj, _ := json.Marshal(a)
 	bj, _ := json.Marshal(b)
 	if string(aj) != string(bj) {

@@ -45,18 +45,18 @@ type Spec struct {
 	// GeneratorFor, when non-nil, overrides the synthetic generator for
 	// each core (trace replay via workload.Trace, custom generators,
 	// ...). Profiles[core] still supplies DepFrac for the core model.
-	GeneratorFor func(core int) workload.Generator
+	GeneratorFor func(core int) workload.Generator `json:"-"`
 	// Obs, when non-nil, enables observability for the run: component
 	// metrics register into Obs.Registry, Obs.Sampler (if set) snapshots
 	// them every epoch, and Obs.Tracer (if set) records every DRAM
 	// command. Observation is read-only — results are bit-identical with
 	// or without it.
-	Obs *obs.Observer
+	Obs *obs.Observer `json:"-"`
 	// Limits, when non-nil and armed, bounds the run (wall-clock
 	// deadline, event budget, context cancellation, livelock watchdog);
 	// a tripped limit returns a *LimitError. Nil runs unbounded with an
 	// untouched hot path.
-	Limits *Limits
+	Limits *Limits `json:"-"`
 }
 
 // Result carries every metric the experiments report.

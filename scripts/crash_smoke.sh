@@ -71,7 +71,8 @@ while :; do
     attempt=$((attempt + 1))
 done
 
-run -store "$OUT/store2" -resume -report "$OUT/resume.json" \
+# Rerunning against the same store is the resume.
+run -store "$OUT/store2" -report "$OUT/resume.json" \
     >/dev/null 2>"$OUT/resume.err"
 cmp "$OUT/ref.json" "$OUT/resume.json" || {
     echo "crash smoke: resumed-after-SIGKILL report differs from plain run" >&2
