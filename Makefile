@@ -76,10 +76,15 @@ serve-smoke:
 crash-smoke:
 	sh scripts/crash_smoke.sh
 
-# Short randomized-config fuzz of the sanitizer (CI runs this as a
-# smoke; drop -fuzztime for an open-ended session).
+# Short fuzz smokes (CI runs them; drop -fuzztime for an open-ended
+# session): randomized configurations through the sanitizer, and
+# schedule/cancel/run sequences through both tiers of the event queue
+# against a sorted reference. The queue fuzzer finds new coverage
+# every few hundred runs; minimizing each find for the default 60 s
+# would spend the whole smoke on minimization, so it is capped.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTimingConfig' -fuzztime 20s ./internal/check/
+	$(GO) test -run '^$$' -fuzz 'FuzzEngineOrder' -fuzztime 10s -fuzzminimizetime 50x ./internal/sim/
 
 # Deliberately regenerate the golden run-report fixtures after a
 # change that intentionally alters simulation results (see

@@ -37,6 +37,44 @@ func TestScheduleStepZeroAllocGuard(t *testing.T) {
 		t.Errorf("schedule+cancel allocates %.2f allocs/op, want 0", avg)
 	}
 
+	// The overflow tier: a delay past the wheel's horizon goes to the
+	// heap, whose backing array the warm-up run has already grown.
+	far := Time(2 * wheelSize << bucketShift)
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.Schedule(e.Now()+far, fn)
+		e.Step()
+	}); avg != 0 {
+		t.Errorf("schedule+step past the horizon allocates %.2f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		ev := e.Schedule(e.Now()+far, fn)
+		e.Cancel(ev)
+	}); avg != 0 {
+		t.Errorf("schedule+cancel past the horizon allocates %.2f allocs/op, want 0", avg)
+	}
+
+	// An out-of-order insert into one bucket (a priority-2 wake, then a
+	// priority-0 event at the same instant) and a cancel from the
+	// middle of a bucket relink records in place.
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.ScheduleP(e.Now()+1, 2, fn)
+		e.ScheduleP(e.Now()+1, 0, fn)
+		e.Step()
+		e.Step()
+	}); avg != 0 {
+		t.Errorf("out-of-order bucket insert allocates %.2f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.Schedule(e.Now()+1, fn)
+		mid := e.Schedule(e.Now()+2, fn)
+		e.Schedule(e.Now()+3, fn)
+		e.Cancel(mid)
+		e.Step()
+		e.Step()
+	}); avg != 0 {
+		t.Errorf("mid-bucket cancel allocates %.2f allocs/op, want 0", avg)
+	}
+
 	// The payload-carrying form must be equally free when arg is a
 	// pointer (interface conversion of a pointer does not box).
 	afn := func(*Engine, any) {}

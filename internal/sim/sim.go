@@ -7,6 +7,12 @@
 // the same instant fire in the order of their (priority, sequence)
 // pair, making runs bit-for-bit reproducible.
 //
+// Pending events wait on a timing wheel that covers the next 131 ns,
+// which holds nearly every event a run schedules; the few later ones
+// (refresh, regulator epochs, sampler ticks) wait on an overflow heap.
+// Both tiers keep the one strict event order, so the choice of tier
+// never changes which event fires next.
+//
 // The engine recycles event records through an internal free list
 // (fired and cancelled events are reused by later Schedule calls), so
 // steady-state scheduling does not allocate. Event handles carry a
@@ -15,7 +21,10 @@
 // reused.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a simulation timestamp in picoseconds.
 type Time uint64
@@ -34,14 +43,18 @@ const Never Time = ^Time(0)
 
 // event is the engine-owned record of a scheduled callback. Records
 // live by value in the engine's slab and are addressed by index —
-// never by pointer, so the slab can grow and the heap nodes stay
-// pointer-free (a pointer per node would drag a GC write barrier into
-// every sift move). Records are recycled: gen increments every time
-// the record is retired, which invalidates any Event handles still
-// naming it.
+// never by pointer, so the slab can grow and neither the wheel links
+// nor the overflow heap nodes hold a pointer (a pointer per node would
+// drag a GC write barrier into every link or sift move). Records are
+// recycled: gen increments every time the record is retired, which
+// invalidates any Event handles still naming it.
 type event struct {
 	when Time
 	key  uint64 // packed (priority, seq) same-instant tiebreak
+	// next links a wheel event to the next one in its bucket (noNext
+	// ends the list); inOverflow marks an event held by the overflow
+	// heap instead.
+	next int32
 	gen  uint64
 	fn   func(*Engine)
 	// argFn/arg are the payload-carrying callback form (ScheduleArg):
@@ -90,35 +103,59 @@ const (
 	maxSeq       = uint64(1) << seqBits
 )
 
-// heapNode is one slot of the event queue: the full sort key inlined
+// The event queue has two tiers. The near-future tier is a timing
+// wheel (Brown, "Calendar Queues", CACM 31(10), 1988) of wheelSize
+// buckets, each 2^bucketShift ps wide: an event whose bucket lies
+// fewer than wheelSize buckets past now's bucket goes on the wheel,
+// and a later one goes on the overflow heap. Because now never
+// decreases, every wheel event lies in the one lap
+// [now>>bucketShift, now>>bucketShift + wheelSize), so the first
+// occupied bucket at or after now's (wrapping once) holds the wheel's
+// minimum. Each bucket is a list sorted by the full event order, so
+// firing the earlier of that bucket's head and the heap's top yields
+// exactly the order a single priority queue would.
+//
+// The geometry fits the model's traffic: nearly every event fires
+// within a few nanoseconds of being scheduled, and only refresh,
+// regulator-epoch and sampler timers reach past the 131 ns horizon.
+const (
+	bucketShift = 9   // 512 ps buckets
+	wheelSize   = 256 // 131 ns horizon
+	wheelMask   = wheelSize - 1
+	wheelWords  = wheelSize / 64 // occupancy bitmap words
+)
+
+// Sentinels stored in event.next.
+const (
+	noNext     int32 = -1 // last event of its bucket
+	inOverflow int32 = -2 // held by the overflow heap, not the wheel
+)
+
+// before is the total event order: time, then the packed (priority,
+// seq) key. seq is unique per engine, so the order is strict and pop
+// order is deterministic.
+func before(aWhen Time, aKey uint64, bWhen Time, bKey uint64) bool {
+	return aWhen < bWhen || aWhen == bWhen && aKey < bKey
+}
+
+// heapNode is one slot of the overflow heap: the full sort key inlined
 // next to the record's slab index, so sift compares read the heap
 // array sequentially instead of dereferencing two event records per
-// comparison (the pointer chase dominated pop-heavy runs), and node
-// moves are barrier-free because the node holds no pointer.
+// comparison, and node moves are barrier-free because the node holds
+// no pointer.
 type heapNode struct {
 	when Time
 	key  uint64 // priority<<seqBits | seq
 	id   int32
 }
 
-// nodeLess is the total event order; seq is unique per engine, so the
-// order is strict and pop order is deterministic.
-func nodeLess(a, b *heapNode) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.key < b.key
-}
+func nodeLess(a, b *heapNode) bool { return before(a.when, a.key, b.when, b.key) }
 
-// eventHeap is a 4-ary min-heap over (when, priority, seq), specialized
-// to the concrete node type: sift-up/sift-down hold the moving node in
-// a local and shift the others, so each step is one node copy plus one
-// index write, and nothing passes through an interface (container/heap
-// boxes every Push/Pop operand and dispatches Less/Swap dynamically,
-// which showed up as a measurable fraction of event-bound runs). The
-// 4-ary shape halves the tree depth of the pop-heavy sift-down path;
-// because seq is unique, the event order is a strict total order and
-// pop order is identical for any min-heap arity.
+// eventHeap is the overflow tier: a 4-ary min-heap over (when,
+// priority, seq), specialized to the concrete node type. Sift-up and
+// sift-down hold the moving node in a local and shift the others, so
+// each step is one node copy plus one index write, and nothing passes
+// through an interface.
 type eventHeap []heapNode
 
 // up restores the heap property from index i toward the root.
@@ -170,11 +207,10 @@ func (h *eventHeap) push(rec *event, id int32) {
 	h.up(len(*h) - 1)
 }
 
-// pop removes and returns the slab index of the earliest event.
-func (h *eventHeap) pop() int32 {
+// pop removes the earliest event.
+func (h *eventHeap) pop() {
 	old := *h
 	n := len(old) - 1
-	id := old[0].id
 	if n > 0 {
 		old[0] = old[n]
 	}
@@ -182,7 +218,6 @@ func (h *eventHeap) pop() int32 {
 	if n > 0 {
 		(*h).down(0)
 	}
-	return id
 }
 
 // remove deletes the event at heap index i (Cancel's path).
@@ -200,10 +235,6 @@ func (h *eventHeap) remove(i int) {
 	}
 }
 
-// initialHeapCap pre-sizes the event queue so a run reaches its
-// steady-state pending-event count without regrowing the heap slice.
-const initialHeapCap = 512
-
 // eventBlock pre-sizes the record slab; the slab then grows by
 // amortized appends, so allocs/op stays near zero even while the
 // pending-event population is still growing.
@@ -212,13 +243,18 @@ const eventBlock = 128
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct one with NewEngine.
 type Engine struct {
-	now     Time
-	queue   eventHeap
-	records []event // record slab; Event handles and heap nodes hold indices
-	free    []int32 // retired record indices awaiting reuse
-	seq     uint64
-	fired   uint64
-	halted  bool
+	now Time
+	// Wheel tier: occupied has one bit per non-empty bucket; a
+	// bucket's head and tail are valid only while its bit is set.
+	occupied   [wheelWords]uint64
+	onWheel    int // events on the wheel
+	head, tail [wheelSize]int32
+	overflow   eventHeap // events past the wheel's horizon when scheduled
+	records    []event   // record slab; Event handles and queue links hold indices
+	free       []int32   // retired record indices awaiting reuse
+	seq        uint64
+	fired      uint64
+	halted     bool
 	// Control hook (SetControl): ctrlNext is the fired count at which
 	// the hook runs next, kept at noControl when the hook is disarmed so
 	// the run loops pay exactly one always-false integer compare per
@@ -235,7 +271,6 @@ const noControl = ^uint64(0)
 // NewEngine returns an engine with time set to zero and an empty queue.
 func NewEngine() *Engine {
 	return &Engine{
-		queue:    make(eventHeap, 0, initialHeapCap),
 		records:  make([]event, 0, eventBlock),
 		ctrlNext: noControl,
 	}
@@ -271,7 +306,77 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.onWheel + len(e.overflow) }
+
+// push queues the scheduled record id: on the wheel when its bucket is
+// within the horizon, else on the overflow heap.
+func (e *Engine) push(id int32) {
+	rec := &e.records[id]
+	if rec.when>>bucketShift-e.now>>bucketShift >= wheelSize {
+		rec.next = inOverflow
+		e.overflow.push(rec, id)
+		return
+	}
+	e.onWheel++
+	rec.next = noNext
+	b := int(rec.when>>bucketShift) & wheelMask
+	if w, bit := b>>6, uint64(1)<<(b&63); e.occupied[w]&bit == 0 {
+		e.occupied[w] |= bit
+		e.head[b], e.tail[b] = id, id
+		return
+	}
+	// Same-instant events arrive in seq order, so appending is the
+	// common case; otherwise insert before the first later event.
+	if t := &e.records[e.tail[b]]; !before(rec.when, rec.key, t.when, t.key) {
+		t.next = id
+		e.tail[b] = id
+		return
+	}
+	p := &e.head[b]
+	for n := &e.records[*p]; !before(rec.when, rec.key, n.when, n.key); n = &e.records[*p] {
+		p = &n.next
+	}
+	rec.next, *p = *p, id
+}
+
+// unlink removes wheel event id from its bucket.
+func (e *Engine) unlink(id int32) {
+	rec := &e.records[id]
+	b := int(rec.when>>bucketShift) & wheelMask
+	e.onWheel--
+	p, prev := &e.head[b], noNext
+	for *p != id {
+		prev = *p
+		p = &e.records[prev].next
+	}
+	*p = rec.next
+	if rec.next == noNext {
+		if prev == noNext {
+			e.occupied[b>>6] &^= 1 << (b & 63)
+		} else {
+			e.tail[b] = prev
+		}
+	}
+}
+
+// firstBucket returns the first occupied bucket at or after now's,
+// wrapping once. The wheel must not be empty.
+func (e *Engine) firstBucket() int {
+	c := int(e.now>>bucketShift) & wheelMask
+	w := c >> 6
+	if m := e.occupied[w] >> (c & 63); m != 0 {
+		return c + bits.TrailingZeros64(m)
+	}
+	// On the last pass w is c's word again, and only the bits below c,
+	// the buckets at the end of the lap, can be set.
+	for i := 0; i < wheelWords; i++ {
+		w = (w + 1) % wheelWords
+		if m := e.occupied[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("sim: event queue corrupted (wheel count without an occupied bucket)")
+}
 
 // Schedule enqueues fn to run at the given absolute time with priority
 // zero. Scheduling in the past panics: that is always a model bug.
@@ -290,7 +395,7 @@ func (e *Engine) ScheduleP(at Time, priority int, fn func(*Engine)) Event {
 	rec := &e.records[id]
 	rec.when, rec.key, rec.fn = at, e.packKey(at, priority), fn
 	rec.argFn = nil // recycle leaves the previous use's fields in place
-	e.queue.push(rec, id)
+	e.push(id)
 	return Event{eng: e, id: id, gen: rec.gen}
 }
 
@@ -330,7 +435,7 @@ func (e *Engine) ScheduleArgP(at Time, priority int, fn func(*Engine, any), arg 
 	rec := &e.records[id]
 	rec.when, rec.key, rec.argFn, rec.arg = at, e.packKey(at, priority), fn, arg
 	// rec.fn may be stale from a prior use; dispatch checks argFn first.
-	e.queue.push(rec, id)
+	e.push(id)
 	return Event{eng: e, id: id, gen: rec.gen}
 }
 
@@ -345,15 +450,17 @@ func (e *Engine) Cancel(ev Event) {
 	if !ev.Pending() {
 		return
 	}
-	// A pending record has exactly one queue node; find it by scanning.
-	// The pending population is small (tens of events in steady state),
-	// so the scan is cheaper than maintaining a per-record heap index,
-	// which would put a slab store into every sift move of the far
-	// hotter pop path.
-	for i := range e.queue {
-		if e.queue[i].id == ev.id {
-			e.queue.remove(i)
-			break
+	if e.records[ev.id].next != inOverflow {
+		e.unlink(ev.id)
+	} else {
+		// Only far-future timers reach the overflow heap, and few are
+		// pending at once, so a scan is cheaper than keeping a heap index
+		// per record, which would put a slab store into every sift move.
+		for i := range e.overflow {
+			if e.overflow[i].id == ev.id {
+				e.overflow.remove(i)
+				break
+			}
 		}
 	}
 	e.recycle(ev.id)
@@ -397,14 +504,44 @@ func (e *Engine) runControl() {
 
 // Step executes the single earliest pending event. It reports false if
 // the queue was empty.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+func (e *Engine) Step() bool { return e.step(Never) }
+
+// step fires the earliest pending event if it is due at or before
+// deadline, reporting whether one fired.
+func (e *Engine) step(deadline Time) bool {
+	var id int32
+	b := -1 // the event's wheel bucket, or -1 when it tops the overflow heap
+	switch {
+	case e.onWheel > 0:
+		b = e.firstBucket()
+		id = e.head[b]
+		if len(e.overflow) > 0 {
+			top, rec := &e.overflow[0], &e.records[id]
+			if before(top.when, top.key, rec.when, rec.key) {
+				b, id = -1, top.id
+			}
+		}
+	case len(e.overflow) > 0:
+		id = e.overflow[0].id
+	default:
 		return false
 	}
-	id := e.queue.pop()
 	rec := &e.records[id]
+	if rec.when > deadline {
+		return false
+	}
 	if rec.when < e.now {
-		panic("sim: event heap corrupted (time went backwards)")
+		panic("sim: event queue corrupted (time went backwards)")
+	}
+	if b < 0 {
+		e.overflow.pop()
+	} else {
+		e.onWheel--
+		if rec.next == noNext {
+			e.occupied[b>>6] &^= 1 << (b & 63)
+		} else {
+			e.head[b] = rec.next
+		}
 	}
 	e.now = rec.when
 	fn, argFn, arg := rec.fn, rec.argFn, rec.arg
@@ -424,7 +561,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() {
 	e.halted = false
 	e.stopCause = nil
-	for !e.halted && e.Step() {
+	for !e.halted && e.step(Never) {
 		if e.fired >= e.ctrlNext {
 			e.runControl()
 		}
@@ -440,11 +577,7 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 	e.halted = false
 	e.stopCause = nil
 	start := e.fired
-	for !e.halted {
-		if len(e.queue) == 0 || e.queue[0].when > deadline {
-			break
-		}
-		e.Step()
+	for !e.halted && e.step(deadline) {
 		if e.fired >= e.ctrlNext {
 			e.runControl()
 		}
