@@ -69,10 +69,9 @@ func main() {
 
 		timeout     = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = none); exceeded runs fail with a diagnostic snapshot")
 		eventBudget = flag.Uint64("event-budget", 0, "per-run simulation event budget (0 = none)")
-		retries     = flag.Int("retries", 0, "retry budget per sweep cell for transient failures (deadline trips)")
 		failMode    = flag.String("fail-mode", "fail-fast", "sweep reaction to a failed cell: fail-fast | collect | degrade")
 		storeDir    = flag.String("store", "", "content-addressed result store directory: completed sweep cells are committed to it (checksummed, atomic) keyed by model and run spec, and replayed byte-identically by any later run — rerunning against the same store resumes a campaign")
-		injectSpec  = flag.String("inject", "", "deterministic fault injection for testing, e.g. panic:1,timeout:3 (kinds: panic error timeout budget flaky)")
+		injectSpec  = flag.String("inject", "", "deterministic fault injection for testing, e.g. panic:1,timeout:3 (kinds: panic error timeout budget)")
 	)
 	flag.Parse()
 
@@ -118,8 +117,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "microbank: serving observability on http://%s (/metrics /events /status /debug/pprof/)\n", srv.Addr())
 	}
 
-	res, err := buildResilience(*failMode, *retries, *timeout, *eventBudget,
-		*storeDir, *injectSpec)
+	res, err := buildResilience(*failMode, *timeout, *eventBudget, *storeDir, *injectSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "microbank:", err)
 		os.Exit(1)
@@ -220,11 +218,12 @@ func main() {
 }
 
 // buildResilience turns the resilience flags into an armed
-// *experiments.Resilience, or nil when no flag asks for one (keeping
-// the zero-overhead fail-fast path).
-func buildResilience(failMode string, retries int, timeout time.Duration,
+// *experiments.Resilience, or nil when no flag asks for one: sweeps
+// then run fail-fast, and -exp run registers no sweep or store gauges
+// and prints no failure or store summary.
+func buildResilience(failMode string, timeout time.Duration,
 	eventBudget uint64, storeDir, inject string) (*experiments.Resilience, error) {
-	armed := failMode != "fail-fast" || retries > 0 || timeout > 0 || eventBudget > 0 ||
+	armed := failMode != "fail-fast" || timeout > 0 || eventBudget > 0 ||
 		storeDir != "" || inject != ""
 	if !armed {
 		return nil, nil
@@ -233,8 +232,7 @@ func buildResilience(failMode string, retries int, timeout time.Duration,
 	if err != nil {
 		return nil, err
 	}
-	res := &experiments.Resilience{Mode: mode, Retries: retries,
-		Timeout: timeout, EventBudget: eventBudget}
+	res := &experiments.Resilience{Mode: mode, Timeout: timeout, EventBudget: eventBudget}
 	if err := res.SetInject(inject); err != nil {
 		return nil, err
 	}
@@ -262,8 +260,7 @@ func summarizeFailures(res *experiments.Resilience) {
 	if len(fails) == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "microbank: %d sweep cell(s) failed (%d retries):\n",
-		len(fails), res.Log.Retries())
+	fmt.Fprintf(os.Stderr, "microbank: %d sweep cell(s) failed:\n", len(fails))
 	for _, f := range fails {
 		fmt.Fprintf(os.Stderr, "microbank:   sweep %d cell %d [%s] %s: %s\n",
 			f.Sweep, f.Cell, f.Kind, f.Digest, f.Error)
@@ -688,7 +685,7 @@ func flushAborted(err error, agg *obs.Aggregator, aggSweep int, tracer *obs.Chro
 	}
 	if agg != nil {
 		f := obs.CellFailure{Sweep: aggSweep, Cell: 0, Kind: failKind(err),
-			Error: err.Error(), Attempts: 1}
+			Error: err.Error()}
 		var le *system.LimitError
 		if errors.As(err, &le) {
 			f.Diag = le.Diag

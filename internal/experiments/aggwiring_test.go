@@ -1,7 +1,7 @@
 package experiments
 
 // Tests for the campaign-aggregator wiring in mapRuns: cell lifecycle
-// events, per-cell registry merging, failure/retry accounting, and the
+// events, per-cell registry merging, failure accounting, and the
 // invariant that attaching an aggregator changes no result.
 
 import (
@@ -38,7 +38,7 @@ func TestMapRunsFeedsAggregator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(failed) != 0 { // fail-fast path: no failure mask
+	if len(failed) != 0 { // healthy sweep: no failure mask
 		t.Fatalf("failed mask = %v, want none", failed)
 	}
 	var instr float64
@@ -61,12 +61,12 @@ func TestMapRunsFeedsAggregator(t *testing.T) {
 
 func TestMapRunsAggregatorFailures(t *testing.T) {
 	agg := obs.NewAggregator("test")
-	res := &Resilience{Mode: parallel.FailDegrade, Retries: 1}
+	res := &Resilience{Mode: parallel.FailDegrade}
 	o := Options{Quick: true, Instr: 4000, Parallelism: 2, Res: res, Agg: agg}
 	_, failed, err := mapRuns(o, []int{0, 1}, func(j int) system.Spec {
 		spec := tinySpec(42)
 		if j == 1 {
-			spec.Profiles = nil // invalid: a hard, non-retryable failure
+			spec.Profiles = nil // invalid: system.Run refuses it
 		}
 		return spec
 	})

@@ -59,10 +59,11 @@ type Options struct {
 	// goroutines and must be safe for concurrent use; it must not
 	// write to stdout, which carries the deterministic tables.
 	Progress func(done, total int)
-	// Res, when non-nil, arms resilient sweep execution: panic
-	// isolation, per-run limits, retries, failure collection, and the
-	// result store. Nil selects the original fail-fast path with
-	// zero overhead.
+	// Res configures how sweeps survive failures: the fail mode,
+	// per-run limits, fault injection, the failure log, and the result
+	// store. Nil behaves as &Resilience{}: fail-fast, no store, no
+	// limits beyond Ctx, no injection. Every sweep isolates panics per
+	// cell either way.
 	Res *Resilience
 	// Exp names the running experiment for profiling: every sweep cell
 	// executes under runtime/pprof labels (exp, cell, variant) so CPU
@@ -71,7 +72,7 @@ type Options struct {
 	// Agg, when non-nil, feeds the live observability plane (-serve):
 	// every sweep cell runs with its own registry-only observer whose
 	// snapshot merges into the aggregator at the cell boundary, and
-	// progress/failure/retry events stream to it as they happen.
+	// progress and failure events stream to it as they happen.
 	// Observation is read-only and per-cell registries stay
 	// registry-only (no sampler/tracer), so results are untouched. Nil
 	// costs nothing.
@@ -253,13 +254,14 @@ type cellMetrics struct {
 // optional Progress callback observes completions (in completion order,
 // which is schedule-dependent); it never influences results.
 //
-// With o.Res nil, the sweep is fail-fast with no overhead and the
-// returned mask is nil. With o.Res armed, the sweep runs resiliently:
-// each cell is one sweep cell under parallel.MapPolicy (panic
-// isolation, retries, per-run limits, result-store lookup/commit, fault
-// injection), failures are logged as report records, and under
+// Every cell runs under parallel.MapPolicy with o.Res's settings (a nil
+// o.Res is the zero Resilience): panic isolation, per-run limits,
+// result-store lookup/commit and fault injection. Failures are logged
+// as report records. Under fail-fast the first failure is returned as
+// a *parallel.TaskError wrapping the cell's error; under
 // collect/degrade the sweep completes with failed cells marked true in
-// the mask (their Result is the zero value).
+// the mask (their Result is the zero value). The mask is nil when no
+// cell failed.
 func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Result, []bool, error) {
 	total := len(jobs)
 	var done atomic.Int64
@@ -273,43 +275,14 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 	if agg != nil {
 		aggSweep = agg.BeginSweep(total)
 	}
-	// run simulates cell i of this sweep (g is its campaign-global
-	// index) under the given limits. With an aggregator attached the
-	// cell gets a fresh registry-only observer (observation is
-	// read-only) whose boundary snapshot merges on success. Every cell
-	// executes under pprof labels so a CPU profile of a sweep attributes
-	// samples to individual cells and variants.
-	run := func(spec system.Spec, lim *system.Limits, g, i int) (res system.Result, err error) {
-		spec.Limits = lim
-		if agg != nil {
-			spec.Obs = obs.NewObserver()
-			agg.CellStarted(aggSweep, i)
-		}
-		pprof.Do(context.Background(), pprof.Labels(
-			"exp", o.Exp, "cell", strconv.Itoa(g), "variant", fmt.Sprintf("%+v", jobs[i])),
-			func(context.Context) { res, err = system.Run(spec) })
-		if agg != nil && err == nil {
-			agg.CellDone(aggSweep, i, spec.Obs.Registry.Gather())
-		}
-		return res, err
-	}
 	idx := make([]int, total)
 	for i := range idx {
 		idx[i] = i
 	}
-	if o.Res == nil {
-		res, err := parallel.Map(o.ctx(), o.Parallelism, idx,
-			func(_ context.Context, i int) (system.Result, error) {
-				r, err := run(build(jobs[i]), o.Res.RunLimits(o.Ctx), i, i)
-				if err == nil {
-					note()
-				}
-				return r, err
-			})
-		return res, nil, err
-	}
-
 	r := o.Res
+	if r == nil {
+		r = &Resilience{}
+	}
 	base, sweep := r.beginSweep(total)
 	// Collect is degrade at sweep level: every sweep completes with its
 	// failures logged, and the campaign-level verdict (Resilience.Err)
@@ -319,18 +292,9 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 		mode = parallel.FailFast
 	}
 	pol := parallel.Policy{
-		Mode:      mode,
-		Retries:   r.Retries,
-		Backoff:   r.Backoff,
-		Retryable: retryable,
+		Mode: mode,
 		Digest: func(i int) string {
 			return fmt.Sprintf("sweep %d cell %d/%d: %+v", sweep, i, total, jobs[i])
-		},
-		OnRetry: func(int, int, error) {
-			r.Log.NoteRetry()
-			if agg != nil {
-				agg.NoteRetry()
-			}
 		},
 	}
 	results, fails, err := parallel.MapPolicy(o.ctx(), o.Parallelism, idx, pol,
@@ -352,14 +316,26 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 				panic(fmt.Sprintf("injected panic at campaign cell %d", g))
 			case "error":
 				return system.Result{}, fmt.Errorf("injected error at campaign cell %d", g)
-			case "flaky":
-				if r.firstAttempt(g) {
-					return system.Result{}, errInjectedTransient
-				}
 			}
-			res, rerr := run(spec, r.limitsFor(o.Ctx, g), g, i)
+			// With an aggregator attached the cell gets a fresh
+			// registry-only observer (observation is read-only) whose
+			// boundary snapshot merges on success. Every cell executes
+			// under pprof labels so a CPU profile of a sweep attributes
+			// samples to individual cells and variants.
+			spec.Limits = r.limitsFor(o.Ctx, g)
+			if agg != nil {
+				spec.Obs = obs.NewObserver()
+				agg.CellStarted(aggSweep, i)
+			}
+			var rerr error
+			pprof.Do(context.Background(), pprof.Labels(
+				"exp", o.Exp, "cell", strconv.Itoa(g), "variant", fmt.Sprintf("%+v", jobs[i])),
+				func(context.Context) { res, rerr = system.Run(spec) })
 			if rerr != nil {
 				return system.Result{}, rerr
+			}
+			if agg != nil {
+				agg.CellDone(aggSweep, i, spec.Obs.Registry.Gather())
 			}
 			// Only healthy cells are committed; failed cells re-run (and
 			// re-fail identically) on the next run against the store.
@@ -372,8 +348,7 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 		r.Log.add(f)
 		if agg != nil {
 			agg.CellFailed(obs.CellFailure{Sweep: aggSweep, Cell: f.Cell,
-				Kind: f.Kind, Error: f.Error, Digest: f.Digest,
-				Attempts: f.Attempts, Diag: f.Diag})
+				Kind: f.Kind, Error: f.Error, Digest: f.Digest, Diag: f.Diag})
 		}
 	}
 	if err != nil {

@@ -33,24 +33,27 @@ func TestFig8ParallelDeterminism(t *testing.T) {
 }
 
 // TestHeadlineParallelDeterminism covers the paired-run reduction
-// (baseline and μbank runs of one benchmark land at different indexes).
+// (baseline and μbank runs of one benchmark land at different indexes)
+// on the default path, a nil Options.Res.
 func TestHeadlineParallelDeterminism(t *testing.T) {
 	small := Options{Quick: true, Instr: 8000, Cores: 8, Seed: 7}
 	serial := small
 	serial.Parallelism = 1
-	wide := small
-	wide.Parallelism = 8
 
 	h1, err := Headline(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h8, err := Headline(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h8 {
-		t.Errorf("headline differs between -j 1 and -j 8: %+v vs %+v", h1, h8)
+	for _, width := range []int{4, 8} {
+		wide := small
+		wide.Parallelism = width
+		hw, err := Headline(wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h1 != hw {
+			t.Errorf("headline differs between -j 1 and -j %d: %+v vs %+v", width, h1, hw)
+		}
 	}
 }
 

@@ -56,14 +56,13 @@ type Report struct {
 // livelock, cancelled, stall). Records contain no wall-clock values —
 // a resumed campaign reproduces them byte-for-byte.
 type ReportFailure struct {
-	Sweep    int          `json:"sweep"`
-	Cell     int          `json:"cell"`
-	Kind     string       `json:"kind"`
-	Digest   string       `json:"digest,omitempty"`
-	Attempts int          `json:"attempts"`
-	Error    string       `json:"error"`
-	Stack    string       `json:"stack,omitempty"`
-	Diag     *system.Diag `json:"diag,omitempty"`
+	Sweep  int          `json:"sweep"`
+	Cell   int          `json:"cell"`
+	Kind   string       `json:"kind"`
+	Digest string       `json:"digest,omitempty"`
+	Error  string       `json:"error"`
+	Stack  string       `json:"stack,omitempty"`
+	Diag   *system.Diag `json:"diag,omitempty"`
 }
 
 // ReportTable mirrors one stats.Table.

@@ -1,11 +1,14 @@
 package experiments
 
-// Sweep resilience: Options.Res arms the resilient execution path of
-// mapRuns — per-cell panic isolation and retries (parallel.MapPolicy),
-// per-run limits (system.Limits), a structured failure log that flows
-// into the Report's failures section, and the content-addressed result
-// store that lets an interrupted or partially failed campaign resume
-// by rerunning against the same store. Stored cells are keyed by what
+// Sweep resilience: Options.Res configures how mapRuns survives
+// failures — the fail mode of its parallel.MapPolicy executor (which
+// isolates panics per cell), per-run limits (system.Limits), injected
+// faults, a structured failure log that flows into the Report's
+// failures section, and the content-addressed result store that lets
+// an interrupted or partially failed campaign resume by rerunning
+// against the same store. There are no in-process retries: cells are
+// deterministic, and a rerun against the store re-simulates exactly
+// the cells that failed. Stored cells are keyed by what
 // they simulate — system.ModelFingerprint and the run spec's digest —
 // so identical runs are shared across experiments, and an entry never
 // outlives the model or spec that produced it. Failure records address
@@ -48,20 +51,15 @@ const (
 const injectCheckEvents = 256
 
 // Resilience configures sweep survival for one experiment campaign.
-// The zero value of each field is the conservative default; a nil
-// *Resilience in Options selects the original fail-fast path with no
-// overhead.
+// The zero value of each field is the conservative default, and a nil
+// *Resilience in Options behaves as the zero value: fail-fast, no
+// store, no limits beyond the campaign context, no injection.
 type Resilience struct {
 	// Mode decides what a failed cell does to the campaign: FailFast
 	// aborts at the first failure; FailCollect and FailDegrade both run
 	// every cell and report failures in the log (collect additionally
 	// makes Err() non-nil so the CLI exits nonzero).
 	Mode parallel.FailMode
-	// Retries/Backoff bound re-attempts of transient failures
-	// (wall-clock deadline trips; everything else in a deterministic
-	// simulator fails identically on retry).
-	Retries int
-	Backoff time.Duration
 	// Timeout and EventBudget bound every run of the campaign
 	// (system.Limits.WallClock / EventBudget).
 	Timeout     time.Duration
@@ -82,7 +80,6 @@ type Resilience struct {
 	Log *FailureLog
 
 	inject map[int]string // campaign cell index -> injected fault kind
-	flaky  sync.Map       // cells whose injected transient already fired
 
 	storeWarn sync.Once
 
@@ -94,8 +91,8 @@ type Resilience struct {
 // SetInject arms deterministic fault injection from a CLI spec like
 // "panic:1,timeout:3": a comma-separated list of kind:cell pairs,
 // where cell counts campaign cells (across sweeps, in enumeration
-// order) and kind is one of panic, error, timeout, budget, flaky
-// (fails the first attempt with a retryable error, then succeeds).
+// order) and kind is one of panic, error, timeout, budget. A cell may
+// be named once.
 func (r *Resilience) SetInject(spec string) error {
 	if spec == "" {
 		return nil
@@ -111,20 +108,16 @@ func (r *Resilience) SetInject(spec string) error {
 			return fmt.Errorf("bad inject cell in %q", part)
 		}
 		switch kind {
-		case "panic", "error", "timeout", "budget", "flaky":
+		case "panic", "error", "timeout", "budget":
 		default:
-			return fmt.Errorf("unknown inject kind %q (panic | error | timeout | budget | flaky)", kind)
+			return fmt.Errorf("unknown inject kind %q (panic | error | timeout | budget)", kind)
+		}
+		if prev, dup := r.inject[cell]; dup {
+			return fmt.Errorf("inject cell %d named twice (%s, %s)", cell, prev, kind)
 		}
 		r.inject[cell] = kind
 	}
 	return nil
-}
-
-// firstAttempt reports (once) that the flaky injection at campaign
-// cell g has not fired yet.
-func (r *Resilience) firstAttempt(g int) bool {
-	_, loaded := r.flaky.LoadOrStore(g, true)
-	return !loaded
 }
 
 // beginSweep assigns the next sweep id and the campaign-cell base
@@ -207,8 +200,9 @@ func (r *Resilience) Err() error {
 	return nil
 }
 
-// RegisterMetrics exports the campaign's failure/retry counters into
-// an obs registry as sweep.failures and sweep.retries gauges.
+// RegisterMetrics exports the campaign's failure count into an obs
+// registry as the sweep.failures gauge, plus the store counters when a
+// store is attached.
 func (r *Resilience) RegisterMetrics(reg *obs.Registry) {
 	r.mu.Lock()
 	if r.Log == nil {
@@ -217,7 +211,6 @@ func (r *Resilience) RegisterMetrics(reg *obs.Registry) {
 	log := r.Log
 	r.mu.Unlock()
 	reg.GaugeFunc("sweep.failures", func() float64 { return float64(log.Len()) })
-	reg.GaugeFunc("sweep.retries", func() float64 { return float64(log.Retries()) })
 	if s := r.Store; s != nil {
 		reg.GaugeFunc("store.hits", func() float64 { return float64(s.Stats().Hits) })
 		reg.GaugeFunc("store.misses", func() float64 { return float64(s.Stats().Misses) })
@@ -255,27 +248,11 @@ func (r *Resilience) RunLimits(ctx context.Context) *system.Limits {
 	return &system.Limits{Ctx: ctx, WallClock: r.Timeout, EventBudget: r.EventBudget}
 }
 
-// errInjectedTransient is the retryable error the flaky injection
-// produces on a cell's first attempt.
-var errInjectedTransient = errors.New("injected transient failure")
-
-// retryable classifies a cell failure as worth re-attempting. Only
-// wall-clock deadline trips qualify (host contention can clear); every
-// other failure of a deterministic simulation repeats identically.
-func retryable(err error) bool {
-	if errors.Is(err, errInjectedTransient) {
-		return true
-	}
-	var le *system.LimitError
-	return errors.As(err, &le) && le.Kind == system.LimitDeadline
-}
-
-// FailureLog accumulates structured failure records and retry counts
-// across every sweep of a campaign. Safe for concurrent use.
+// FailureLog accumulates structured failure records across every
+// sweep of a campaign. Safe for concurrent use.
 type FailureLog struct {
-	mu      sync.Mutex
-	fails   []ReportFailure
-	retries uint64
+	mu    sync.Mutex
+	fails []ReportFailure
 }
 
 func (l *FailureLog) add(f ReportFailure) {
@@ -284,25 +261,11 @@ func (l *FailureLog) add(f ReportFailure) {
 	l.mu.Unlock()
 }
 
-// NoteRetry counts one retry attempt.
-func (l *FailureLog) NoteRetry() {
-	l.mu.Lock()
-	l.retries++
-	l.mu.Unlock()
-}
-
 // Len returns the number of recorded failures.
 func (l *FailureLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.fails)
-}
-
-// Retries returns the total retry count.
-func (l *FailureLog) Retries() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.retries
 }
 
 // Failures returns a copy of the recorded failures, in (sweep, cell)
@@ -322,12 +285,11 @@ func (l *FailureLog) Failures() []ReportFailure {
 // must be byte-identical across reruns against the same store.
 func failureRecord(sweep int, te *parallel.TaskError) ReportFailure {
 	f := ReportFailure{
-		Sweep:    sweep,
-		Cell:     te.Index,
-		Kind:     FailKindError,
-		Digest:   te.Digest,
-		Attempts: te.Attempts,
-		Error:    te.Err.Error(),
+		Sweep:  sweep,
+		Cell:   te.Index,
+		Kind:   FailKindError,
+		Digest: te.Digest,
+		Error:  te.Err.Error(),
 	}
 	var fv *check.FatalViolation
 	var le *system.LimitError

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -224,25 +226,6 @@ func TestProtocolViolationIsolated(t *testing.T) {
 	}
 }
 
-// TestFlakyCellRetries injects a transient first-attempt failure and
-// verifies the retry budget absorbs it.
-func TestFlakyCellRetries(t *testing.T) {
-	res := &Resilience{Mode: parallel.FailDegrade, Retries: 1}
-	if err := res.SetInject("flaky:0"); err != nil {
-		t.Fatal(err)
-	}
-	o := resOpts(res)
-	if _, err := Headline(o); err != nil {
-		t.Fatalf("Headline: %v", err)
-	}
-	if n := res.Log.Len(); n != 0 {
-		t.Fatalf("flaky cell recorded %d failures despite retry budget", n)
-	}
-	if res.Log.Retries() != 1 {
-		t.Fatalf("retries = %d, want 1", res.Log.Retries())
-	}
-}
-
 // TestCollectModeFailsCampaign: collect runs everything like degrade
 // but the campaign-level verdict is an error.
 func TestCollectModeFailsCampaign(t *testing.T) {
@@ -270,14 +253,15 @@ func TestCollectModeFailsCampaign(t *testing.T) {
 }
 
 func TestSetInjectErrors(t *testing.T) {
-	for _, bad := range []string{"panic", "frob:1", "panic:-1", "panic:x", "panic:1,"} {
+	for _, bad := range []string{"panic", "frob:1", "panic:-1", "panic:x", "panic:1,",
+		"panic:1,error:1", "flaky:0"} {
 		r := &Resilience{}
 		if err := r.SetInject(bad); err == nil {
 			t.Errorf("SetInject(%q) accepted", bad)
 		}
 	}
 	r := &Resilience{}
-	if err := r.SetInject("panic:1,timeout:3,flaky:0"); err != nil {
+	if err := r.SetInject("panic:1,timeout:3"); err != nil {
 		t.Fatalf("SetInject rejected a valid spec: %v", err)
 	}
 	if r.inject[3] != "timeout" || r.inject[2] != "" {
@@ -289,7 +273,7 @@ func TestSetInjectErrors(t *testing.T) {
 // generous limits) must not change a healthy campaign's results.
 func TestResilientHealthySweepByteIdentical(t *testing.T) {
 	plain := headlineReport(t, resOpts(nil))
-	res := &Resilience{Mode: parallel.FailDegrade, Retries: 2,
+	res := &Resilience{Mode: parallel.FailDegrade,
 		Timeout: time.Hour, EventBudget: 1 << 40}
 	armed := headlineReport(t, resOpts(res))
 	// The reports echo identical options either way; only the failures
@@ -306,5 +290,49 @@ func TestResilientHealthySweepByteIdentical(t *testing.T) {
 	}
 	if string(plain) != string(armed) {
 		t.Fatalf("resilience perturbed a healthy campaign:\n--- plain\n%s\n--- armed\n%s", plain, armed)
+	}
+}
+
+// TestMapRunsNilResFailFast: with no Resilience, a sweep runs
+// fail-fast under MapPolicy. A failing cell comes back as a
+// *parallel.TaskError naming the cell, and errors.As/Is still reach
+// the run's own error through it — here a spec system.Run refuses, and
+// a run whose context is cancelled as it starts, which trips the
+// watchdog with a *system.LimitError.
+func TestMapRunsNilResFailFast(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name   string
+		ctx    context.Context
+		mutate func(*system.Spec)
+		check  func(error) bool
+	}{
+		{"invalid spec", nil, func(s *system.Spec) { s.Profiles = nil },
+			func(err error) bool { return strings.Contains(err.Error(), "0 profiles for 1 cores") }},
+		{"cancelled run", ctx, func(*system.Spec) { cancel() },
+			func(err error) bool {
+				var le *system.LimitError
+				return errors.As(err, &le) && le.Kind == system.LimitCancelled &&
+					errors.Is(err, context.Canceled)
+			}},
+	} {
+		o := Options{Quick: true, Instr: 40000, Parallelism: 1, Ctx: tc.ctx}
+		results, failed, err := mapRuns(o, []int64{1}, func(seed int64) system.Spec {
+			spec := tinySpec(seed)
+			spec.InstrPerCore = o.Instr
+			tc.mutate(&spec)
+			return spec
+		})
+		var te *parallel.TaskError
+		if !errors.As(err, &te) || te.Index != 0 || te.Panicked {
+			t.Fatalf("%s: err = %v (%T), want a *parallel.TaskError for cell 0", tc.name, err, err)
+		}
+		if !tc.check(err) {
+			t.Fatalf("%s: err = %v does not reach the run's error", tc.name, err)
+		}
+		if results != nil || failed != nil {
+			t.Fatalf("%s: fail-fast sweep returned results %v, mask %v", tc.name, results, failed)
+		}
 	}
 }

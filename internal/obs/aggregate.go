@@ -6,7 +6,7 @@ package obs
 // Registry; the aggregator ingests an immutable snapshot of that
 // registry at the cell boundary (and optional live epoch rows while the
 // cell is in flight), merges series across cells by summation, tracks
-// sweep progress / failure taxonomy / retries, and fans change events
+// sweep progress and the failure taxonomy, and fans change events
 // out to SSE subscribers. Everything here is observational — the
 // aggregator never feeds back into simulation state, so a served
 // campaign produces byte-identical results to an unserved one.
@@ -22,13 +22,12 @@ import (
 // the obs-layer mirror of the experiment report's failure record (obs
 // cannot depend on the experiments package).
 type CellFailure struct {
-	Sweep    int    `json:"sweep"`
-	Cell     int    `json:"cell"`
-	Kind     string `json:"kind"`
-	Error    string `json:"error,omitempty"`
-	Digest   string `json:"digest,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	Diag     any    `json:"diag,omitempty"`
+	Sweep  int    `json:"sweep"`
+	Cell   int    `json:"cell"`
+	Kind   string `json:"kind"`
+	Error  string `json:"error,omitempty"`
+	Digest string `json:"digest,omitempty"`
+	Diag   any    `json:"diag,omitempty"`
 }
 
 // Event is one server-sent event: a type tag and a pre-marshalled JSON
@@ -71,7 +70,6 @@ type Aggregator struct {
 
 	failures []CellFailure
 	byKind   map[string]int
-	retries  int
 
 	state  string // "running", "done", "aborted"
 	errMsg string
@@ -107,7 +105,7 @@ func NewAggregator(experiment string) *Aggregator {
 // during merge so the campaign view wins a collision.
 var ownSeries = [...]string{
 	"sweep.done", "sweep.total", "sweep.inflight",
-	"sweep.failures", "sweep.retries",
+	"sweep.failures",
 	"store.hits", "store.misses", "store.quarantined",
 }
 
@@ -174,7 +172,7 @@ func (a *Aggregator) CellReplayed(sweep, cell int) {
 	a.publishProgress()
 }
 
-// CellFailed records a cell's final (post-retry) failure.
+// CellFailed records a cell's failure.
 func (a *Aggregator) CellFailed(f CellFailure) {
 	a.mu.Lock()
 	k := cellKey{f.Sweep, f.Cell}
@@ -187,14 +185,6 @@ func (a *Aggregator) CellFailed(f CellFailure) {
 	a.byKind[f.Kind]++
 	a.mu.Unlock()
 	a.publish("fail", f)
-	a.publishProgress()
-}
-
-// NoteRetry counts one retry of a failed cell attempt.
-func (a *Aggregator) NoteRetry() {
-	a.mu.Lock()
-	a.retries++
-	a.mu.Unlock()
 	a.publishProgress()
 }
 
@@ -263,8 +253,7 @@ func (a *Aggregator) Gather() []Sample {
 		Sample{"sweep.done", float64(done)},
 		Sample{"sweep.total", float64(total)},
 		Sample{"sweep.inflight", float64(len(a.inflight))},
-		Sample{"sweep.failures", float64(len(a.failures))},
-		Sample{"sweep.retries", float64(a.retries)})
+		Sample{"sweep.failures", float64(len(a.failures))})
 	if a.storeStats != nil {
 		hits, misses, quarantined := a.storeStats()
 		out = append(out,
@@ -321,7 +310,6 @@ type Status struct {
 		Failed   int `json:"failed"`
 		Inflight int `json:"inflight"`
 	} `json:"cells"`
-	Retries      int            `json:"retries"`
 	Sweeps       []sweepState   `json:"sweeps"`
 	FailureKinds map[string]int `json:"failure_kinds,omitempty"`
 	Failures     []CellFailure  `json:"failures,omitempty"`
@@ -347,7 +335,6 @@ func (a *Aggregator) StatusJSON() ([]byte, error) {
 		State:      a.state,
 		Error:      a.errMsg,
 		StartedAt:  a.started.UTC().Format(time.RFC3339),
-		Retries:    a.retries,
 		Sweeps:     append([]sweepState(nil), a.sweeps...),
 		Failures:   append([]CellFailure(nil), a.failures...),
 		Diag:       a.diag,
@@ -416,7 +403,7 @@ func (a *Aggregator) publish(typ string, payload any) {
 	a.mu.Unlock()
 }
 
-// publishProgress emits the current done/total/failed/retry counters.
+// publishProgress emits the current done/total/failed/inflight counters.
 func (a *Aggregator) publishProgress() {
 	a.mu.Lock()
 	var done, total, failed int
@@ -427,7 +414,7 @@ func (a *Aggregator) publishProgress() {
 	}
 	p := map[string]int{
 		"done": done, "total": total, "failed": failed,
-		"inflight": len(a.inflight), "retries": a.retries,
+		"inflight": len(a.inflight),
 	}
 	a.mu.Unlock()
 	a.publish("progress", p)

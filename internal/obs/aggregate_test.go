@@ -34,8 +34,7 @@ func TestAggregatorLifecycle(t *testing.T) {
 
 	a.CellDone(sweep, 0, []Sample{{"noc.packets", 10}, {"cpu.instr_retired", 100}})
 	a.CellDone(sweep, 1, []Sample{{"noc.packets", 5}})
-	a.NoteRetry()
-	a.CellFailed(CellFailure{Sweep: sweep, Cell: 2, Kind: "deadline", Error: "boom", Attempts: 2})
+	a.CellFailed(CellFailure{Sweep: sweep, Cell: 2, Kind: "deadline", Error: "boom"})
 
 	g = a.Gather()
 	if v := findSample(t, g, "sweep.done"); v != 3 { // 2 done + 1 failed = progress 3/3
@@ -46,9 +45,6 @@ func TestAggregatorLifecycle(t *testing.T) {
 	}
 	if v := findSample(t, g, "sweep.failures{kind=deadline}"); v != 1 {
 		t.Fatalf("failures by kind = %v, want 1", v)
-	}
-	if v := findSample(t, g, "sweep.retries"); v != 1 {
-		t.Fatalf("retries = %v, want 1", v)
 	}
 	if v := findSample(t, g, "noc.packets"); v != 15 {
 		t.Fatalf("merged noc.packets = %v, want 15", v)
@@ -63,7 +59,7 @@ func TestAggregatorLifecycle(t *testing.T) {
 	if err := json.Unmarshal(b, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.State != "done" || st.Cells.Done != 2 || st.Cells.Failed != 1 || st.Retries != 1 {
+	if st.State != "done" || st.Cells.Done != 2 || st.Cells.Failed != 1 {
 		t.Fatalf("status = %+v", st)
 	}
 	if st.FailureKinds["deadline"] != 1 || len(st.Failures) != 1 || st.Failures[0].Error != "boom" {
@@ -141,7 +137,7 @@ func TestAggregatorEvents(t *testing.T) {
 	// A cancelled subscriber's channel closes and later publishes do not
 	// panic or block.
 	cancel()
-	a.NoteRetry()
+	a.publishProgress()
 	if _, ok := <-ch; ok {
 		// Drain any buffered events until close.
 		for range ch {
@@ -170,7 +166,7 @@ func TestAggregatorConcurrent(t *testing.T) {
 			a.CellStarted(s, c)
 			a.PublishEpoch(s, c, uint64(c), []string{"m"}, []float64{1})
 			if c%5 == 0 {
-				a.CellFailed(CellFailure{Sweep: s, Cell: c, Kind: "panic", Error: "x", Attempts: 1})
+				a.CellFailed(CellFailure{Sweep: s, Cell: c, Kind: "panic", Error: "x"})
 				return
 			}
 			a.CellDone(s, c, []Sample{{"m", 2}})

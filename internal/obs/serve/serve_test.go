@@ -17,7 +17,7 @@ func testAgg() *obs.Aggregator {
 	s := a.BeginSweep(2)
 	a.CellStarted(s, 0)
 	a.CellDone(s, 0, []obs.Sample{{Name: "noc.packets", Value: 12}})
-	a.CellFailed(obs.CellFailure{Sweep: s, Cell: 1, Kind: "deadline", Error: "slow", Attempts: 1})
+	a.CellFailed(obs.CellFailure{Sweep: s, Cell: 1, Kind: "deadline", Error: "slow"})
 	return a
 }
 

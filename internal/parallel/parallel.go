@@ -1,17 +1,16 @@
-// Package parallel provides the bounded worker-pool primitives the
-// experiment layer fans independent simulations out with. Results are
-// assembled in input order, so a parallel sweep produces output
-// byte-identical to the serial loop it replaces; each simulation takes
-// an explicit seed, so runs stay reproducible under any schedule.
+// Package parallel provides the bounded worker pool the experiment
+// layer fans independent simulations out with: MapPolicy, which runs
+// every item under a recover and reacts to failures by a FailMode.
+// Results are assembled in input order, so a parallel sweep produces
+// output byte-identical to the serial loop it replaces; each
+// simulation takes an explicit seed, so runs stay reproducible under
+// any schedule.
 package parallel
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 )
 
 // Width returns the effective worker count for a requested width n:
@@ -21,22 +20,6 @@ func Width(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// WorkerPanic is the value Map re-panics with in the caller's
-// goroutine when a worker panicked: the original panic value plus the
-// item index and the worker's stack at the point of the panic (the
-// re-raise would otherwise show only Map's own frames).
-type WorkerPanic struct {
-	Index int
-	Value any
-	Stack string
-}
-
-// Error renders the panic; WorkerPanic satisfies error so recovered
-// values compose with errors.As in callers that convert panics.
-func (p *WorkerPanic) Error() string {
-	return fmt.Sprintf("parallel: item %d panicked: %v", p.Index, p.Value)
 }
 
 // guard runs f on one item, converting a panic into (value, stack,
@@ -50,126 +33,4 @@ func guard[T, R any](ctx context.Context, item T,
 	}()
 	r, err = f(ctx, item)
 	return
-}
-
-// Map applies f to every element of items using at most Width(width)
-// concurrent workers and returns the results in input order. The first
-// error cancels the derived context and stops workers from starting
-// further items; when several items fail, the error of the
-// lowest-index failure is returned (matching what a serial loop would
-// have reported). On error the partial results are discarded.
-//
-// Worker panics are never swallowed: every in-flight item runs under a
-// recover, the workers drain, and the panic is then re-raised in the
-// caller's goroutine as a *WorkerPanic. The lowest-index guarantee
-// holds for the panic path too — when several items panic, the
-// lowest-index panic is the one re-raised — and a panic outranks any
-// error or cancellation (including a context cancelled while the
-// panicking item was still in flight): a panic marks a bug, so it must
-// surface even when a lower-index error or the parent context has
-// already cancelled the sweep. For panic-isolating semantics (panics
-// reported as values instead of re-raised) use MapPolicy.
-func Map[T, R any](ctx context.Context, width int, items []T,
-	f func(context.Context, T) (R, error)) ([]R, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := len(items)
-	results := make([]R, n)
-	if n == 0 {
-		return results, ctx.Err()
-	}
-	w := Width(width)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		// Serial fast path: no goroutines, exact serial error order;
-		// panics unwind to the caller directly with their own stack.
-		for i := range items {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := f(ctx, items[i])
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = -1
-		firstPan *WorkerPanic
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	recordPanic := func(p *WorkerPanic) {
-		mu.Lock()
-		if firstPan == nil || p.Index < firstPan.Index {
-			firstPan = p
-		}
-		mu.Unlock()
-		cancel()
-	}
-	wg.Add(w)
-	for range w {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || wctx.Err() != nil {
-					return
-				}
-				r, err, pv, stack, panicked := guard(wctx, items[i], f)
-				if panicked {
-					recordPanic(&WorkerPanic{Index: i, Value: pv, Stack: stack})
-					return
-				}
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				results[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	if firstPan != nil {
-		panic(firstPan)
-	}
-	if errIdx >= 0 {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// Sweep runs f(i) for every i in [0, n) using at most Width(width)
-// concurrent workers. It is Map over an index range for sweeps whose
-// stages write into caller-owned storage.
-func Sweep(ctx context.Context, width, n int, f func(ctx context.Context, i int) error) error {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	_, err := Map(ctx, width, idx, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, f(ctx, i)
-	})
-	return err
 }

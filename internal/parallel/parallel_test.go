@@ -24,16 +24,20 @@ func TestWidthClamping(t *testing.T) {
 	}
 }
 
+// failFast is the policy a sweep runs under when no resilience is
+// asked for; the TestMap* tests pin MapPolicy's behaviour in it.
+var failFast = Policy{Mode: FailFast}
+
 func TestMapOrderedResults(t *testing.T) {
 	items := make([]int, 100)
 	for i := range items {
 		items[i] = i
 	}
-	for _, width := range []int{1, 2, 8, 200} {
-		got, err := Map(context.Background(), width, items,
+	for _, width := range []int{1, 4, 8, 200} {
+		got, fails, err := MapPolicy(context.Background(), width, items, failFast,
 			func(_ context.Context, v int) (int, error) { return v * v, nil })
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
+		if err != nil || fails != nil {
+			t.Fatalf("width %d: err=%v fails=%v", width, err, fails)
 		}
 		for i, r := range got {
 			if r != i*i {
@@ -46,7 +50,7 @@ func TestMapOrderedResults(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	const width = 3
 	var cur, peak atomic.Int64
-	_, err := Map(context.Background(), width, make([]struct{}, 50),
+	_, _, err := MapPolicy(context.Background(), width, make([]struct{}, 50), failFast,
 		func(context.Context, struct{}) (struct{}, error) {
 			c := cur.Add(1)
 			for {
@@ -68,10 +72,12 @@ func TestMapBoundsConcurrency(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(context.Background(), 8, nil,
-		func(context.Context, int) (int, error) { return 0, nil })
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty map: %v %v", got, err)
+	for _, mode := range []FailMode{FailFast, FailCollect, FailDegrade} {
+		got, fails, err := MapPolicy(context.Background(), 8, nil, Policy{Mode: mode},
+			func(context.Context, int) (int, error) { return 0, nil })
+		if err != nil || fails != nil || len(got) != 0 {
+			t.Fatalf("%v: empty map: %v %v %v", mode, got, fails, err)
+		}
 	}
 }
 
@@ -79,7 +85,7 @@ func TestMapErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, width := range []int{1, 4} {
-		got, err := Map(context.Background(), width, items,
+		got, _, err := MapPolicy(context.Background(), width, items, failFast,
 			func(_ context.Context, v int) (int, error) {
 				if v == 3 || v == 6 {
 					return 0, fmt.Errorf("item %d: %w", v, boom)
@@ -100,7 +106,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	// still be item 0's (the one a serial loop would have hit first).
 	var release sync.WaitGroup
 	release.Add(1)
-	_, err := Map(context.Background(), 8, []int{0, 1, 2, 3, 4, 5},
+	_, _, err := MapPolicy(context.Background(), 8, []int{0, 1, 2, 3, 4, 5}, failFast,
 		func(_ context.Context, v int) (int, error) {
 			switch v {
 			case 0:
@@ -112,14 +118,15 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 			}
 			return v, nil
 		})
-	if err == nil || err.Error() != "slow failure at 0" {
+	var te *TaskError
+	if !errors.As(err, &te) || te.Index != 0 || te.Err.Error() != "slow failure at 0" {
 		t.Fatalf("err = %v, want the index-0 failure", err)
 	}
 }
 
 func TestMapErrorStopsNewWork(t *testing.T) {
 	var started atomic.Int64
-	_, err := Map(context.Background(), 2, make([]int, 1000),
+	_, _, err := MapPolicy(context.Background(), 2, make([]int, 1000), failFast,
 		func(context.Context, int) (int, error) {
 			if started.Add(1) == 1 {
 				return 0, errors.New("first item fails")
@@ -141,7 +148,7 @@ func TestMapContextCancellation(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Map(ctx, 2, make([]int, 1000),
+		_, _, err := MapPolicy(ctx, 2, make([]int, 1000), failFast,
 			func(ctx context.Context, _ int) (int, error) {
 				if started.Add(1) == 1 {
 					cancel()
@@ -165,37 +172,17 @@ func TestMapContextCancellation(t *testing.T) {
 func TestMapPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, width := range []int{1, 4} {
-		_, err := Map(ctx, width, []int{1, 2, 3},
-			func(context.Context, int) (int, error) { return 0, nil })
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("width %d: err = %v, want context.Canceled", width, err)
+	for _, mode := range []FailMode{FailFast, FailCollect, FailDegrade} {
+		for _, width := range []int{1, 4} {
+			var ran atomic.Int64
+			_, _, err := MapPolicy(ctx, width, []int{1, 2, 3}, Policy{Mode: mode},
+				func(context.Context, int) (int, error) { ran.Add(1); return 0, nil })
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v width %d: err = %v, want context.Canceled", mode, width, err)
+			}
+			if n := ran.Load(); n != 0 {
+				t.Fatalf("%v width %d: %d item(s) ran under a cancelled context", mode, width, n)
+			}
 		}
-	}
-}
-
-func TestSweep(t *testing.T) {
-	out := make([]int, 64)
-	err := Sweep(context.Background(), 8, len(out), func(_ context.Context, i int) error {
-		out[i] = i + 1
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	boom := errors.New("boom")
-	err = Sweep(context.Background(), 4, 16, func(_ context.Context, i int) error {
-		if i == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("sweep err = %v", err)
 	}
 }

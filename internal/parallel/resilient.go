@@ -1,12 +1,13 @@
 package parallel
 
-// Resilient sweep execution: MapPolicy is Map with per-item panic
-// isolation, a bounded-retry policy for transient failures, and a
-// configurable failure mode, so a multi-hour campaign survives one
-// pathological cell instead of tearing down atomically. Failures come
-// back as structured TaskErrors (item index, config digest, attempt
-// count, elapsed time, panic stack) that the experiment layer turns
-// into report entries and metrics.
+// Resilient sweep execution: MapPolicy runs every item under a
+// recover and applies a configurable failure mode, so a multi-hour
+// campaign survives one pathological cell instead of tearing down
+// atomically. Failures come back as structured TaskErrors (item index,
+// config digest, elapsed time, panic stack) that the experiment layer
+// turns into report entries and metrics. Nothing is retried in
+// process: the simulations are deterministic, so a failed item fails
+// the same way again.
 
 import (
 	"context"
@@ -22,8 +23,8 @@ import (
 type FailMode int
 
 const (
-	// FailFast cancels the sweep at the first failure; the error of the
-	// lowest-index failure is returned, like Map.
+	// FailFast cancels the sweep at the first failure and returns the
+	// lowest-index failure, the one a serial loop would have hit first.
 	FailFast FailMode = iota
 	// FailCollect runs every item to completion and reports all
 	// failures together as one *SweepError; healthy results are still
@@ -64,18 +65,16 @@ func ParseFailMode(s string) (FailMode, error) {
 }
 
 // TaskError describes one failed work item: which item, how it failed
-// (error or recovered panic), how many attempts were made, and how
-// long the item ran in total. Digest carries the caller's description
+// (error or recovered panic), and how long the item ran. Digest carries the caller's description
 // of the item's configuration so a failure in a multi-hour sweep names
 // its cell without cross-referencing the job list.
 type TaskError struct {
 	Index    int
 	Digest   string
-	Attempts int
 	Elapsed  time.Duration
 	Panicked bool
-	// Stack is the raw panic stack (debug.Stack) of the final attempt;
-	// empty unless Panicked. CleanStack strips its nondeterministic
+	// Stack is the raw panic stack (debug.Stack); empty unless
+	// Panicked. CleanStack strips its nondeterministic
 	// parts for report embedding.
 	Stack string
 	Err   error
@@ -90,9 +89,6 @@ func (e *TaskError) Error() string {
 	verb := "failed"
 	if e.Panicked {
 		verb = "panicked"
-	}
-	if e.Attempts > 1 {
-		return fmt.Sprintf("%s %s after %d attempts: %v", what, verb, e.Attempts, e.Err)
 	}
 	return fmt.Sprintf("%s %s: %v", what, verb, e.Err)
 }
@@ -172,62 +168,20 @@ func (e *SweepError) Unwrap() error {
 // Policy configures MapPolicy.
 type Policy struct {
 	Mode FailMode
-	// Retries is the per-item retry budget beyond the first attempt.
-	// Only errors Retryable reports true for are retried; panics never
-	// are (a deterministic simulation panics the same way every time).
-	Retries int
-	// Backoff is the sleep before the first retry, doubling with each
-	// further attempt (capped at 30s). Zero retries immediately.
-	Backoff time.Duration
-	// Retryable classifies an error as transient. Nil disables retries.
-	Retryable func(error) bool
 	// Digest, when non-nil, labels item i in failures — conventionally
 	// a human-readable config digest of the sweep cell.
 	Digest func(i int) string
-	// OnRetry, when non-nil, observes each retry before its backoff
-	// (feeds the sweep retry counters). Called from worker goroutines.
-	OnRetry func(i, attempt int, err error)
 }
 
-// maxBackoff caps the exponential retry backoff.
-const maxBackoff = 30 * time.Second
-
-// backoffFor returns the sleep preceding retry number attempt (1-based
-// count of completed attempts).
-func backoffFor(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	d := base << (attempt - 1)
-	if d <= 0 || d > maxBackoff {
-		return maxBackoff
-	}
-	return d
-}
-
-// sleepCtx sleeps for d unless the context is cancelled first; it
-// reports whether the full sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// MapPolicy applies f to every element of items like Map, with the
-// sweep-survival semantics of pol: each item runs under a recover so a
-// panicking cell becomes a *TaskError instead of tearing down the
-// process, transient errors are retried with exponential backoff, and
-// the failure mode decides whether one bad cell cancels the sweep
-// (FailFast), fails it after running everything (FailCollect), or
-// degrades it to a partial result set (FailDegrade).
+// MapPolicy applies f to the elements of items using at most
+// Width(width) concurrent workers, running each item at most once.
+// Every item runs under a recover, so a panicking cell becomes a
+// *TaskError (Panicked, with its stack) instead of tearing down the
+// process, even when the panic races a sibling's failure or the
+// caller's cancellation. The failure mode decides whether one bad cell cancels
+// the sweep (FailFast: no new item starts after the first failure),
+// fails it after running everything (FailCollect), or degrades it to a
+// partial result set (FailDegrade).
 //
 // Results are assembled in input order and healthy cells are
 // byte-identical to a serial run at any width. Failures are returned
@@ -272,42 +226,24 @@ func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 	}
 	runItem := func(i int) {
 		start := time.Now()
-		for attempt := 1; ; attempt++ {
-			r, err, pv, stack, panicked := guard(wctx, items[i], f)
-			if !panicked && err == nil {
-				results[i] = r
-				return
-			}
-			te := &TaskError{Index: i, Attempts: attempt, Panicked: panicked, Err: err}
-			if pol.Digest != nil {
-				te.Digest = pol.Digest(i)
-			}
-			if panicked {
-				te.Stack = stack
-				if perr, ok := pv.(error); ok {
-					te.Err = perr
-				} else {
-					te.Err = fmt.Errorf("panic: %v", pv)
-				}
-			}
-			retry := !panicked && attempt <= pol.Retries &&
-				pol.Retryable != nil && pol.Retryable(te.Err) && wctx.Err() == nil
-			if !retry {
-				te.Elapsed = time.Since(start)
-				record(te)
-				return
-			}
-			if pol.OnRetry != nil {
-				pol.OnRetry(i, attempt, te.Err)
-			}
-			if !sleepCtx(wctx, backoffFor(pol.Backoff, attempt)) {
-				// Cancelled mid-backoff: report the last failure rather
-				// than silently dropping the cell.
-				te.Elapsed = time.Since(start)
-				record(te)
-				return
+		r, err, pv, stack, panicked := guard(wctx, items[i], f)
+		if !panicked && err == nil {
+			results[i] = r
+			return
+		}
+		te := &TaskError{Index: i, Elapsed: time.Since(start), Panicked: panicked, Err: err}
+		if pol.Digest != nil {
+			te.Digest = pol.Digest(i)
+		}
+		if panicked {
+			te.Stack = stack
+			if perr, ok := pv.(error); ok {
+				te.Err = perr
+			} else {
+				te.Err = fmt.Errorf("panic: %v", pv)
 			}
 		}
+		record(te)
 	}
 	wg.Add(w)
 	for range w {

@@ -13,50 +13,45 @@ import (
 
 // TestMapPanicRacingCancellation drives a panic that lands while the
 // derived context is already cancelled (a lower-index error cancelled
-// the sweep first). The panic must still surface: it marks a bug, and
-// swallowing it because of the race would hide that bug behind a
-// routine error.
+// the sweep first). The panic must still come back as a failure: it
+// marks a bug, and dropping it because of the race would hide that bug
+// behind a routine error.
 func TestMapPanicRacingCancellation(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		var oneInFlight, zeroFailed sync.WaitGroup
 		oneInFlight.Add(1)
 		zeroFailed.Add(1)
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("round %d: panic swallowed after cancellation", round)
+		_, fails, err := MapPolicy(context.Background(), 2, []int{0, 1}, failFast,
+			func(ctx context.Context, v int) (int, error) {
+				if v == 0 {
+					// Error only once item 1 is in flight, so the
+					// cancellation this error triggers races item 1's
+					// panic rather than preventing item 1 from starting.
+					oneInFlight.Wait()
+					defer zeroFailed.Done()
+					return 0, errors.New("early error at 0")
 				}
-				wp, ok := r.(*WorkerPanic)
-				if !ok {
-					t.Fatalf("round %d: recovered %T, want *WorkerPanic", round, r)
+				oneInFlight.Done()
+				zeroFailed.Wait()
+				for ctx.Err() == nil {
+					time.Sleep(10 * time.Microsecond)
 				}
-				if wp.Index != 1 || wp.Value != "late panic" {
-					t.Fatalf("round %d: got panic %+v", round, wp)
-				}
-				if !strings.Contains(wp.Stack, "resilient_test.go") {
-					t.Fatalf("round %d: stack does not point at the panic site:\n%s", round, wp.Stack)
-				}
-			}()
-			_, _ = Map(context.Background(), 2, []int{0, 1},
-				func(ctx context.Context, v int) (int, error) {
-					if v == 0 {
-						// Error only once item 1 is in flight, so the
-						// cancellation this error triggers races item 1's
-						// panic rather than preventing item 1 from starting.
-						oneInFlight.Wait()
-						defer zeroFailed.Done()
-						return 0, errors.New("early error at 0")
-					}
-					oneInFlight.Done()
-					zeroFailed.Wait()
-					for ctx.Err() == nil {
-						time.Sleep(10 * time.Microsecond)
-					}
-					panic("late panic")
-				})
-			t.Fatalf("round %d: Map returned instead of panicking", round)
-		}()
+				panic("late panic")
+			})
+		var te *TaskError
+		if !errors.As(err, &te) || te.Index != 0 {
+			t.Fatalf("round %d: err = %v, want the index-0 error", round, err)
+		}
+		if len(fails) != 2 {
+			t.Fatalf("round %d: panic dropped after cancellation: fails = %v", round, fails)
+		}
+		p := fails[1]
+		if p.Index != 1 || !p.Panicked || p.Err.Error() != "panic: late panic" {
+			t.Fatalf("round %d: got failure %+v", round, p)
+		}
+		if !strings.Contains(p.Stack, "resilient_test.go") {
+			t.Fatalf("round %d: stack does not point at the panic site:\n%s", round, p.Stack)
+		}
 	}
 }
 
@@ -67,14 +62,7 @@ func TestMapPanicRacingParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var oneInFlight sync.WaitGroup
 	oneInFlight.Add(1)
-	defer func() {
-		r := recover()
-		wp, ok := r.(*WorkerPanic)
-		if !ok || wp.Value != "post-cancel panic" {
-			t.Fatalf("recovered %v, want the worker panic", r)
-		}
-	}()
-	_, _ = Map(ctx, 2, []int{0, 1},
+	_, fails, err := MapPolicy(ctx, 2, []int{0, 1}, failFast,
 		func(ctx context.Context, v int) (int, error) {
 			if v == 0 {
 				oneInFlight.Wait()
@@ -85,26 +73,21 @@ func TestMapPanicRacingParentCancellation(t *testing.T) {
 			<-ctx.Done()
 			panic("post-cancel panic")
 		})
-	t.Fatal("Map returned instead of panicking")
+	var te *TaskError
+	if !errors.As(err, &te) || !te.Panicked || te.Index != 1 {
+		t.Fatalf("err = %v, want the worker panic", err)
+	}
+	if len(fails) != 1 || fails[0] != te {
+		t.Fatalf("fails = %v, want only the panic", fails)
+	}
 }
 
-// TestMapLowestIndexPanic: when several items panic, the re-raised
-// panic is the lowest-index one — the same guarantee Map documents for
-// errors.
+// TestMapLowestIndexPanic: when several items panic, the returned
+// failure is the lowest-index one — the same guarantee as for errors.
 func TestMapLowestIndexPanic(t *testing.T) {
 	var release sync.WaitGroup
 	release.Add(1)
-	defer func() {
-		r := recover()
-		wp, ok := r.(*WorkerPanic)
-		if !ok {
-			t.Fatalf("recovered %T, want *WorkerPanic", r)
-		}
-		if wp.Index != 0 {
-			t.Fatalf("re-raised panic from item %d, want item 0", wp.Index)
-		}
-	}()
-	_, _ = Map(context.Background(), 8, []int{0, 1, 2, 3},
+	_, _, err := MapPolicy(context.Background(), 8, []int{0, 1, 2, 3}, failFast,
 		func(_ context.Context, v int) (int, error) {
 			switch v {
 			case 0:
@@ -116,20 +99,28 @@ func TestMapLowestIndexPanic(t *testing.T) {
 			}
 			return v, nil
 		})
-	t.Fatal("Map returned instead of panicking")
+	var te *TaskError
+	if !errors.As(err, &te) || !te.Panicked {
+		t.Fatalf("err = %v, want a panicked *TaskError", err)
+	}
+	if te.Index != 0 {
+		t.Fatalf("returned panic from item %d, want item 0", te.Index)
+	}
 }
 
-// TestMapSerialPathPanics: width 1 takes the no-goroutine fast path;
-// the panic unwinds to the caller directly rather than as WorkerPanic.
+// TestMapSerialPathPanics: width 1 runs on one worker like any other
+// width, so a panic comes back as a *TaskError carrying the raw panic
+// value's text instead of unwinding into the caller.
 func TestMapSerialPathPanics(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "serial panic" {
-			t.Fatalf("recovered %v, want the raw panic value", r)
-		}
-	}()
-	_, _ = Map(context.Background(), 1, []int{0},
+	_, fails, err := MapPolicy(context.Background(), 1, []int{0}, failFast,
 		func(context.Context, int) (int, error) { panic("serial panic") })
-	t.Fatal("Map returned instead of panicking")
+	var te *TaskError
+	if !errors.As(err, &te) || !te.Panicked || te.Err.Error() != "panic: serial panic" {
+		t.Fatalf("err = %v, want the isolated panic", err)
+	}
+	if len(fails) != 1 || fails[0] != te || te.Stack == "" {
+		t.Fatalf("fails = %+v", fails)
+	}
 }
 
 func TestParseFailMode(t *testing.T) {
@@ -241,64 +232,36 @@ func TestMapPolicyFailFast(t *testing.T) {
 	}
 }
 
-// TestMapPolicyRetries: a transiently failing item succeeds within its
-// retry budget; attempts are counted and OnRetry observes each one.
-func TestMapPolicyRetries(t *testing.T) {
-	var attempts atomic.Int64
-	var retries atomic.Int64
-	transient := errors.New("transient")
-	res, fails, err := MapPolicy(context.Background(), 1, []int{0},
-		Policy{
-			Mode:      FailDegrade,
-			Retries:   3,
-			Retryable: func(err error) bool { return errors.Is(err, transient) },
-			OnRetry:   func(i, attempt int, err error) { retries.Add(1) },
-		},
-		func(_ context.Context, _ int) (int, error) {
-			if attempts.Add(1) < 3 {
-				return 0, transient
-			}
-			return 42, nil
-		})
-	if err != nil || len(fails) != 0 || res[0] != 42 {
-		t.Fatalf("retry sweep: res=%v fails=%v err=%v", res, fails, err)
-	}
-	if attempts.Load() != 3 || retries.Load() != 2 {
-		t.Fatalf("attempts=%d retries=%d, want 3 and 2", attempts.Load(), retries.Load())
-	}
-}
-
-// TestMapPolicyRetryBudgetExhausted: a persistently failing item
-// reports the full attempt count in its TaskError.
-func TestMapPolicyRetryBudgetExhausted(t *testing.T) {
-	stubborn := errors.New("stubborn")
-	_, fails, err := MapPolicy(context.Background(), 1, []int{0},
-		Policy{Mode: FailDegrade, Retries: 2, Retryable: func(error) bool { return true }},
-		func(_ context.Context, _ int) (int, error) { return 0, stubborn })
-	if err != nil || len(fails) != 1 {
-		t.Fatalf("fails=%v err=%v", fails, err)
-	}
-	if fails[0].Attempts != 3 || !errors.Is(fails[0], stubborn) {
-		t.Fatalf("failure = %+v, want 3 attempts wrapping stubborn", fails[0])
-	}
-}
-
 // TestMapPolicyPanicsNeverRetried: the simulator is deterministic, so
-// a panicking cell panics identically on every attempt — retrying it
-// only burns time.
+// a failed cell fails identically on every attempt; MapPolicy runs
+// every item exactly once, failing or not, in every mode. Rerunning a
+// campaign against its result store is the retry.
 func TestMapPolicyPanicsNeverRetried(t *testing.T) {
-	var attempts atomic.Int64
-	_, fails, _ := MapPolicy(context.Background(), 1, []int{0},
-		Policy{Mode: FailDegrade, Retries: 5, Retryable: func(error) bool { return true }},
-		func(_ context.Context, _ int) (int, error) {
-			attempts.Add(1)
-			panic("deterministic panic")
-		})
-	if attempts.Load() != 1 {
-		t.Fatalf("panicking cell attempted %d times, want 1", attempts.Load())
-	}
-	if len(fails) != 1 || fails[0].Attempts != 1 {
-		t.Fatalf("fails = %+v", fails)
+	for _, mode := range []FailMode{FailFast, FailCollect, FailDegrade} {
+		var runs [3]atomic.Int64
+		_, fails, _ := MapPolicy(context.Background(), 1, []int{0, 1, 2}, Policy{Mode: mode},
+			func(_ context.Context, v int) (int, error) {
+				runs[v].Add(1)
+				switch v {
+				case 0:
+					panic("deterministic panic")
+				case 1:
+					return 0, errors.New("deterministic error")
+				}
+				return v, nil
+			})
+		want := [3]int64{1, 1, 1}
+		if mode == FailFast {
+			want = [3]int64{1, 0, 0} // nothing starts after the first failure
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got != want[i] {
+				t.Fatalf("%v: item %d ran %d times, want %d", mode, i, got, want[i])
+			}
+		}
+		if len(fails) == 0 || !fails[0].Panicked {
+			t.Fatalf("%v: fails = %+v", mode, fails)
+		}
 	}
 }
 
@@ -307,27 +270,32 @@ func TestMapPolicyPanicsNeverRetried(t *testing.T) {
 // return the context error so partial results aren't mistaken for a
 // finished grid.
 func TestMapPolicyParentCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int64
-	_, _, err := MapPolicy(ctx, 2, make([]int, 1000),
-		Policy{Mode: FailDegrade},
-		func(context.Context, int) (int, error) {
-			if started.Add(1) == 3 {
-				cancel()
-			}
-			return 0, nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, mode := range []FailMode{FailCollect, FailDegrade} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int64
+		res, _, err := MapPolicy(ctx, 2, make([]int, 1000),
+			Policy{Mode: mode},
+			func(context.Context, int) (int, error) {
+				if started.Add(1) == 3 {
+					cancel()
+				}
+				return 0, nil
+			})
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("%v: res=%v err = %v, want context.Canceled and no results", mode, res != nil, err)
+		}
+		if n := started.Load(); n == 1000 {
+			t.Fatalf("%v: cancellation did not stop new work", mode)
+		}
 	}
 }
 
 func TestTaskErrorRendering(t *testing.T) {
-	te := &TaskError{Index: 7, Digest: "nW=4 nB=8", Attempts: 3, Err: errors.New("boom")}
-	if got := te.Error(); got != "task 7 (nW=4 nB=8) failed after 3 attempts: boom" {
+	te := &TaskError{Index: 7, Digest: "nW=4 nB=8", Err: errors.New("boom")}
+	if got := te.Error(); got != "task 7 (nW=4 nB=8) failed: boom" {
 		t.Fatalf("Error() = %q", got)
 	}
-	te = &TaskError{Index: 2, Panicked: true, Attempts: 1, Err: errors.New("panic: bad")}
+	te = &TaskError{Index: 2, Panicked: true, Err: errors.New("panic: bad")}
 	if got := te.Error(); got != "task 2 panicked: panic: bad" {
 		t.Fatalf("Error() = %q", got)
 	}
@@ -360,21 +328,5 @@ func TestCleanStackDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a, "resilient_test.go") {
 		t.Fatalf("cleaned stack lost the panic site:\n%s", a)
-	}
-}
-
-func TestBackoffFor(t *testing.T) {
-	base := 10 * time.Millisecond
-	if d := backoffFor(base, 1); d != base {
-		t.Fatalf("first backoff = %v", d)
-	}
-	if d := backoffFor(base, 3); d != 40*time.Millisecond {
-		t.Fatalf("third backoff = %v", d)
-	}
-	if d := backoffFor(base, 60); d != maxBackoff {
-		t.Fatalf("overflowed backoff = %v, want cap %v", d, maxBackoff)
-	}
-	if d := backoffFor(0, 5); d != 0 {
-		t.Fatalf("zero base backoff = %v", d)
 	}
 }
