@@ -25,11 +25,12 @@ race:
 	$(GO) test -race ./...
 
 # Hard zero-alloc gate: fails (not just reports) if the engine's
-# schedule/step/cancel paths or the controller's eval path (enqueue,
+# schedule/step/cancel paths, the controller's eval path (enqueue,
 # batch formation, selection, issue, retirement — with and without an
-# attached obs tracer) allocate in steady state.
+# attached obs tracer), the cache's hit/miss/fill path or the
+# directory's fill/evict churn allocate in steady state.
 alloc-guard:
-	$(GO) test -run 'ZeroAllocGuard' -count=1 ./internal/sim/ ./internal/memctrl/
+	$(GO) test -run 'ZeroAllocGuard' -count=1 ./internal/sim/ ./internal/memctrl/ ./internal/cache/
 
 # Fast allocation regression check: the engine hot paths must stay at
 # 0 allocs/op (see EXPERIMENTS.md for recorded baselines).
@@ -77,14 +78,17 @@ crash-smoke:
 	sh scripts/crash_smoke.sh
 
 # Short fuzz smokes (CI runs them; drop -fuzztime for an open-ended
-# session): randomized configurations through the sanitizer, and
+# session): randomized configurations through the sanitizer,
 # schedule/cancel/run sequences through both tiers of the event queue
-# against a sorted reference. The queue fuzzer finds new coverage
-# every few hundred runs; minimizing each find for the default 60 s
-# would spend the whole smoke on minimization, so it is capped.
+# against a sorted reference, and fill/evict sequences through the
+# coherence directory against its map-keyed reference. The queue and
+# directory fuzzers find new coverage every few hundred runs;
+# minimizing each find for the default 60 s would spend the whole
+# smoke on minimization, so it is capped.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTimingConfig' -fuzztime 20s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineOrder' -fuzztime 10s -fuzzminimizetime 50x ./internal/sim/
+	$(GO) test -run '^$$' -fuzz 'FuzzDirectoryOps' -fuzztime 10s -fuzzminimizetime 50x ./internal/cache/
 
 # Deliberately regenerate the golden run-report fixtures after a
 # change that intentionally alters simulation results (see

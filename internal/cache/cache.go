@@ -91,7 +91,6 @@ func (l *line) setState(s State) { l.meta = l.meta&^3 | uint64(s) }
 type mshr struct {
 	block   uint64
 	write   bool
-	thread  int
 	waiters []func(at sim.Time)
 	// fillCb is this record's next-level completion callback, created
 	// once when the record is first allocated; because records are
@@ -108,7 +107,10 @@ type Cache struct {
 	next    FillFunc
 	wb      WritebackFunc
 
-	sets      [][]line
+	// lines holds every set back to back: way w of set s is
+	// lines[s*assoc+w], so a lookup indexes straight into the scan.
+	lines     []line
+	assoc     int
 	setShift  uint
 	setMask   uint64
 	lineShift uint
@@ -145,18 +147,13 @@ func New(eng *sim.Engine, geom config.CacheGeom, clockPeriod sim.Time, next Fill
 		latency:   sim.Time(geom.LatencyCy) * clockPeriod,
 		next:      next,
 		wb:        wb,
-		sets:      make([][]line, nSets),
+		lines:     make([]line, nSets*geom.Assoc),
+		assoc:     geom.Assoc,
 		lineShift: uint(bits.TrailingZeros(uint(geom.LineBytes))),
 		setMask:   uint64(nSets - 1),
 		mshrs:     make([]*mshr, 0, geom.MSHRs),
 	}
 	c.setShift = c.lineShift
-	// One flat backing array for every set: construction cost is two
-	// allocations instead of nSets, and the sets are contiguous.
-	lines := make([]line, nSets*geom.Assoc)
-	for i := range c.sets {
-		c.sets[i] = lines[i*geom.Assoc : (i+1)*geom.Assoc : (i+1)*geom.Assoc]
-	}
 	return c
 }
 
@@ -197,14 +194,15 @@ func (c *Cache) allocMSHR() *mshr {
 // Block returns addr truncated to its cache-line base.
 func (c *Cache) Block(addr uint64) uint64 { return addr &^ (uint64(c.geom.LineBytes) - 1) }
 
-func (c *Cache) index(block uint64) (set int, tag uint64) {
-	idx := (block >> c.setShift) & c.setMask
-	return int(idx), block >> c.setShift
+// ways returns block's set and its tag.
+func (c *Cache) ways(block uint64) (ways []line, tag uint64) {
+	tag = block >> c.setShift
+	base := int(tag&c.setMask) * c.assoc
+	return c.lines[base : base+c.assoc : base+c.assoc], tag
 }
 
 func (c *Cache) lookup(block uint64) *line {
-	set, tag := c.index(block)
-	ways := c.sets[set]
+	ways, tag := c.ways(block)
 	want := tag<<1 | 1
 	for i := range ways {
 		if ways[i].key == want {
@@ -269,7 +267,7 @@ func (c *Cache) Access(addr uint64, write bool, thread int, done func(at sim.Tim
 	c.stats.Accesses++
 	c.stats.Misses++
 	m := c.allocMSHR()
-	m.block, m.write, m.thread = block, write, thread
+	m.block, m.write = block, write
 	if done != nil {
 		m.waiters = append(m.waiters, done)
 	}
@@ -290,7 +288,7 @@ func (c *Cache) fill(m *mshr, at sim.Time) {
 			break
 		}
 	}
-	c.install(m.block, m.write, m.thread)
+	c.install(m.block, m.write)
 	end := at + c.latency
 	for i, w := range m.waiters {
 		c.eng.ScheduleArg(end, callDone, w)
@@ -304,33 +302,32 @@ func (c *Cache) fill(m *mshr, at sim.Time) {
 }
 
 // install places the block, evicting the LRU victim if needed.
-func (c *Cache) install(block uint64, write bool, thread int) {
-	set, tag := c.index(block)
+func (c *Cache) install(block uint64, write bool) {
+	ways, tag := c.ways(block)
 	victim := -1
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	for i := range ways {
+		l := &ways[i]
 		if !l.valid() {
 			victim = i
 			break
 		}
-		if victim < 0 || l.lastUse() < c.sets[set][victim].lastUse() {
+		if victim < 0 || l.lastUse() < ways[victim].lastUse() {
 			victim = i
 		}
 	}
-	v := &c.sets[set][victim]
+	v := &ways[victim]
 	if v.valid() {
-		c.evictLine(set, v)
+		c.evictLine(v)
 	}
 	c.useTick++
 	st := Exclusive
 	if write {
 		st = Modified
 	}
-	c.sets[set][victim] = line{key: tag<<1 | 1, meta: c.useTick<<2 | uint64(st)}
-	_ = thread
+	*v = line{key: tag<<1 | 1, meta: c.useTick<<2 | uint64(st)}
 }
 
-func (c *Cache) evictLine(set int, v *line) {
+func (c *Cache) evictLine(v *line) {
 	blockAddr := (v.tag() << c.setShift)
 	c.stats.Evictions++
 	if v.state() == Modified && c.wb != nil {
@@ -347,14 +344,12 @@ func (c *Cache) evictLine(set int, v *line) {
 // Invalidate removes the block if present (external coherence action),
 // returning its previous state. Dirty data is written back.
 func (c *Cache) Invalidate(addr uint64) State {
-	block := c.Block(addr)
-	set, _ := c.index(block)
-	l := c.lookup(block)
+	l := c.lookup(c.Block(addr))
 	if l == nil {
 		return Invalid
 	}
 	prev := l.state()
-	c.evictLine(set, l)
+	c.evictLine(l)
 	return prev
 }
 

@@ -255,11 +255,9 @@ func TestCacheBoundedProperty(t *testing.T) {
 			eng.Run()
 		}
 		resident := 0
-		for s := 0; s < 16; s++ {
-			for w := 0; w < 4; w++ {
-				if c.sets[s][w].state() != Invalid {
-					resident++
-				}
+		for i := range c.lines {
+			if c.lines[i].state() != Invalid {
+				resident++
 			}
 		}
 		return got == want && resident <= 64

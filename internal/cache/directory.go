@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // Directory is the reverse directory associated with each memory
 // controller (§VI-A): it tracks, per cache line, which cluster L2s hold
 // the line and in what aggregate state, and computes the coherence
@@ -19,16 +21,31 @@ type DirStats struct {
 	MemFetches    uint64
 }
 
-type dirEntry struct {
-	sharers uint64 // bitmap of nodes with the line
-	owner   int8   // node holding M/E, or -1
+// dirSlot is one entry of the directory's open-addressing table:
+// 16 bytes, four to a host cache line. sharers is the bitmap of nodes
+// holding the line; zero marks an empty slot, which is safe because
+// an entry is deleted the moment its last sharer leaves.
+type dirSlot struct {
+	block   uint64
+	sharers uint64
 }
 
-// Directory tracks L2-level sharers of memory lines.
+// dirMinSlots is the table's starting size. The table starts small
+// and doubles at ¾ load, so a single-core run that touches few lines
+// pays for few slots.
+const dirMinSlots = 64
+
+// Directory tracks L2-level sharers of memory lines in a linear-probing
+// hash table. The node holding a line in M/E (or -1) lives in owner,
+// parallel to slots, so a slot stays 16 bytes. Deletion shifts the rest
+// of the probe run back, so the table holds no tombstones.
 type Directory struct {
-	nodes   int
-	entries map[uint64]dirEntry
-	stats   DirStats
+	nodes int
+	slots []dirSlot
+	owner []int8
+	shift uint // 64 - log2(len(slots)): home() keeps the hash's top bits
+	count int
+	stats DirStats
 }
 
 // NewDirectory creates a directory for n nodes (1..64).
@@ -36,7 +53,79 @@ func NewDirectory(n int) *Directory {
 	if n <= 0 || n > 64 {
 		panic("cache: directory supports 1..64 nodes")
 	}
-	return &Directory{nodes: n, entries: map[uint64]dirEntry{}}
+	d := &Directory{nodes: n}
+	d.alloc(dirMinSlots)
+	return d
+}
+
+// alloc installs an empty table of n slots (a power of two).
+func (d *Directory) alloc(n int) {
+	d.slots = make([]dirSlot, n)
+	d.owner = make([]int8, n)
+	d.shift = uint(64 - bits.TrailingZeros(uint(n)))
+}
+
+// home is block's preferred slot. Fibonacci hashing mixes the high
+// address bits into the index, so power-of-two strides spread out.
+func (d *Directory) home(block uint64) int {
+	return int((block * 0x9e3779b97f4a7c15) >> d.shift)
+}
+
+// find returns the slot holding block, or the empty slot that ends its
+// probe run.
+func (d *Directory) find(block uint64) (int, bool) {
+	mask := len(d.slots) - 1
+	for i := d.home(block); ; i = (i + 1) & mask {
+		s := &d.slots[i]
+		if s.sharers == 0 {
+			return i, false
+		}
+		if s.block == block {
+			return i, true
+		}
+	}
+}
+
+// insert claims the empty slot i for block, first doubling the table
+// if the entry would take it past ¾ load.
+func (d *Directory) insert(i int, block, sharers uint64, owner int8) {
+	if 4*(d.count+1) > 3*len(d.slots) {
+		d.grow()
+		i, _ = d.find(block)
+	}
+	d.slots[i] = dirSlot{block: block, sharers: sharers}
+	d.owner[i] = owner
+	d.count++
+}
+
+// grow doubles the table and reinserts every entry.
+func (d *Directory) grow() {
+	slots, owner := d.slots, d.owner
+	d.alloc(2 * len(slots))
+	for i, s := range slots {
+		if s.sharers != 0 {
+			j, _ := d.find(s.block)
+			d.slots[j] = s
+			d.owner[j] = owner[i]
+		}
+	}
+}
+
+// remove empties slot i and shifts back every later entry of the probe
+// run that may move closer to its home, so lookups never need
+// tombstones to skip.
+func (d *Directory) remove(i int) {
+	mask := len(d.slots) - 1
+	for j := (i + 1) & mask; d.slots[j].sharers != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j]: moving it before its home would hide it.
+		if (j-d.home(d.slots[j].block))&mask >= (j-i)&mask {
+			d.slots[i], d.owner[i] = d.slots[j], d.owner[j]
+			i = j
+		}
+	}
+	d.slots[i] = dirSlot{}
+	d.count--
 }
 
 // Stats returns a snapshot.
@@ -61,17 +150,18 @@ type Outcome struct {
 func (d *Directory) Fill(block uint64, node int, write bool) Outcome {
 	d.checkNode(node)
 	d.stats.Lookups++
-	e, present := d.entries[block]
+	i, present := d.find(block)
 	var out Outcome
 	bit := uint64(1) << uint(node)
 
-	if !present || e.sharers == 0 {
+	if !present {
 		// Cold: grant E to the requester; fetch from memory.
-		d.entries[block] = dirEntry{sharers: bit, owner: int8(node)}
+		d.insert(i, block, bit, int8(node))
 		out.NeedMem = true
 		d.stats.MemFetches++
 		return out
 	}
+	s, owner := &d.slots[i], &d.owner[i]
 
 	if write {
 		// Invalidate every other copy.
@@ -79,18 +169,18 @@ func (d *Directory) Fill(block uint64, node int, write bool) Outcome {
 			if n == node {
 				continue
 			}
-			if e.sharers&(1<<uint(n)) != 0 {
+			if s.sharers&(1<<uint(n)) != 0 {
 				out.Invalidate = append(out.Invalidate, n)
 				d.stats.Invalidations++
 			}
 		}
-		if e.owner >= 0 && int(e.owner) != node {
+		if *owner >= 0 && int(*owner) != node {
 			// Dirty owner forwards the line instead of memory.
 			out.NeedMem = false
 			out.ExtraHops = 2
 			d.stats.Forwards++
 		} else {
-			out.NeedMem = e.sharers&bit == 0 // upgrade of own copy needs no fetch
+			out.NeedMem = s.sharers&bit == 0 // upgrade of own copy needs no fetch
 			if out.NeedMem {
 				d.stats.MemFetches++
 			}
@@ -98,59 +188,52 @@ func (d *Directory) Fill(block uint64, node int, write bool) Outcome {
 				out.ExtraHops = 1
 			}
 		}
-		d.entries[block] = dirEntry{sharers: bit, owner: int8(node)}
+		s.sharers, *owner = bit, int8(node)
 		return out
 	}
 
 	// Read miss.
-	if e.owner >= 0 && int(e.owner) != node {
+	if *owner >= 0 && int(*owner) != node {
 		// Owner may be dirty: downgrade and forward.
-		out.Downgrade = append(out.Downgrade, int(e.owner))
+		out.Downgrade = append(out.Downgrade, int(*owner))
 		out.NeedMem = false
 		out.ExtraHops = 2
 		d.stats.Forwards++
-		e.owner = -1
+		*owner = -1
 	} else {
 		out.NeedMem = true
 		d.stats.MemFetches++
 	}
-	e.sharers |= bit
-	if e.sharers == bit {
-		e.owner = int8(node)
+	s.sharers |= bit
+	if s.sharers == bit {
+		*owner = int8(node)
 	}
-	d.entries[block] = e
 	return out
 }
 
 // Evict records that node dropped its copy (L2 eviction).
 func (d *Directory) Evict(block uint64, node int) {
 	d.checkNode(node)
-	e, ok := d.entries[block]
+	i, ok := d.find(block)
 	if !ok {
 		return
 	}
-	e.sharers &^= uint64(1) << uint(node)
-	if int(e.owner) == node {
-		e.owner = -1
+	d.slots[i].sharers &^= uint64(1) << uint(node)
+	if int(d.owner[i]) == node {
+		d.owner[i] = -1
 	}
-	if e.sharers == 0 {
-		delete(d.entries, block)
-		return
+	if d.slots[i].sharers == 0 {
+		d.remove(i)
 	}
-	d.entries[block] = e
 }
 
 // Sharers returns the number of nodes currently holding the line.
 func (d *Directory) Sharers(block uint64) int {
-	e, ok := d.entries[block]
+	i, ok := d.find(block)
 	if !ok {
 		return 0
 	}
-	n := 0
-	for s := e.sharers; s != 0; s &= s - 1 {
-		n++
-	}
-	return n
+	return bits.OnesCount64(d.slots[i].sharers)
 }
 
 func (d *Directory) checkNode(node int) {
