@@ -123,7 +123,7 @@ func main() {
 		os.Exit(1)
 	}
 	o.Res = res
-	if agg != nil && res != nil && res.Store != nil {
+	if agg != nil && res.Store != nil {
 		s := res.Store
 		agg.SetStoreStats(func() (uint64, uint64, uint64) {
 			st := s.Stats()
@@ -151,22 +151,22 @@ func main() {
 	if *reportOut != "" {
 		report = experiments.NewReport(*exp, o)
 	}
-	oflags := obsFlags{trace: *traceOut, metrics: *metricsOut, epochCycles: *epochCyc, check: *checkFlag}
+	oflags := obsFlags{trace: *traceOut, metrics: *metricsOut, epochCycles: *epochCyc, check: *checkFlag,
+		sweepGauges: *failMode != "fail-fast" || *timeout > 0 || *eventBudget > 0 ||
+			*storeDir != "" || *injectSpec != ""}
 	rflags := runFlags{wl: *wl, nw: *nw, nb: *nb, iface: *iface, policy: *policy,
 		ibit: *ibit, sched: *sched, salp: *salp, budget: *budget}
 
 	start := time.Now()
 	err = dispatch(*exp, o, report, oflags, *beta, rflags)
-	if res != nil {
-		if report != nil {
-			report.AddFailures(res.Log)
-		}
-		summarizeFailures(res)
-		if res.Store != nil {
-			st := res.Store.Stats()
-			fmt.Fprintf(os.Stderr, "microbank: store: %d hit(s), %d miss(es), %d new entr(y/ies), %d quarantined\n",
-				st.Hits, st.Misses, st.Puts, st.Quarantined)
-		}
+	if report != nil {
+		report.AddFailures(res.Log)
+	}
+	summarizeFailures(res)
+	if res.Store != nil {
+		st := res.Store.Stats()
+		fmt.Fprintf(os.Stderr, "microbank: store: %d hit(s), %d miss(es), %d new entr(y/ies), %d quarantined\n",
+			st.Hits, st.Misses, st.Puts, st.Quarantined)
 	}
 	if report != nil {
 		// A failed run still flushes its report as valid JSON, marked
@@ -217,17 +217,12 @@ func main() {
 	fmt.Printf("(elapsed %s)\n", time.Since(start).Round(time.Millisecond))
 }
 
-// buildResilience turns the resilience flags into an armed
-// *experiments.Resilience, or nil when no flag asks for one: sweeps
-// then run fail-fast, and -exp run registers no sweep or store gauges
-// and prints no failure or store summary.
+// buildResilience turns the resilience flags into the process's one
+// *experiments.Resilience: every experiment of the invocation (all of
+// them under -exp all) is one campaign, so a run spec simulated by one
+// experiment replays from memory in the next.
 func buildResilience(failMode string, timeout time.Duration,
 	eventBudget uint64, storeDir, inject string) (*experiments.Resilience, error) {
-	armed := failMode != "fail-fast" || timeout > 0 || eventBudget > 0 ||
-		storeDir != "" || inject != ""
-	if !armed {
-		return nil, nil
-	}
 	mode, err := parallel.ParseFailMode(failMode)
 	if err != nil {
 		return nil, err
@@ -283,6 +278,9 @@ type obsFlags struct {
 	metrics     string
 	epochCycles uint64
 	check       string
+	// sweepGauges exports the campaign's sweep and store gauges into
+	// the run's registry; set when any resilience flag is given.
+	sweepGauges bool
 }
 
 // runFlags carries the -exp run configuration options.
@@ -529,7 +527,7 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 			return fmt.Errorf("unknown -check mode %q (off | collect | fatal)", of.check)
 		}
 		spec.Obs = observer
-		if o.Res != nil {
+		if of.sweepGauges {
 			o.Res.RegisterMetrics(observer.Registry)
 		}
 	}

@@ -59,11 +59,14 @@ type Options struct {
 	// goroutines and must be safe for concurrent use; it must not
 	// write to stdout, which carries the deterministic tables.
 	Progress func(done, total int)
-	// Res configures how sweeps survive failures: the fail mode,
+	// Res configures how sweeps survive failures — the fail mode,
 	// per-run limits, fault injection, the failure log, and the result
-	// store. Nil behaves as &Resilience{}: fail-fast, no store, no
-	// limits beyond Ctx, no injection. Every sweep isolates panics per
-	// cell either way.
+	// store — and holds the campaign's results: a run spec simulated
+	// once replays from memory for every later cell of the campaign.
+	// Nil means one fresh &Resilience{} per top-level call (one
+	// experiment function): fail-fast, no store, no limits beyond Ctx,
+	// no injection, and no results shared with any other call. Every
+	// sweep isolates panics per cell either way.
 	Res *Resilience
 	// Exp names the running experiment for profiling: every sweep cell
 	// executes under runtime/pprof labels (exp, cell, variant) so CPU
@@ -104,6 +107,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
+	}
+	if o.Res == nil {
+		o.Res = &Resilience{}
 	}
 	return o
 }
@@ -256,12 +262,12 @@ type cellMetrics struct {
 //
 // Every cell runs under parallel.MapPolicy with o.Res's settings (a nil
 // o.Res is the zero Resilience): panic isolation, per-run limits,
-// result-store lookup/commit and fault injection. Failures are logged
-// as report records. Under fail-fast the first failure is returned as
-// a *parallel.TaskError wrapping the cell's error; under
-// collect/degrade the sweep completes with failed cells marked true in
-// the mask (their Result is the zero value). The mask is nil when no
-// cell failed.
+// result lookup/commit (the campaign's memory, then the store) and
+// fault injection. Failures are logged as report records. Under
+// fail-fast the first failure is returned as a *parallel.TaskError
+// wrapping the cell's error; under collect/degrade the sweep completes
+// with failed cells marked true in the mask (their Result is the zero
+// value). The mask is nil when no cell failed.
 func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Result, []bool, error) {
 	total := len(jobs)
 	var done atomic.Int64
@@ -300,8 +306,9 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 	results, fails, err := parallel.MapPolicy(o.ctx(), o.Parallelism, idx, pol,
 		func(_ context.Context, i int) (system.Result, error) {
 			spec := build(jobs[i])
-			// The store lookup precedes injection: a stored cell is not
-			// re-run, so it cannot re-fire an injected fault.
+			// The lookup precedes injection: a cell already simulated by
+			// this campaign or held by the store is not re-run, so it
+			// cannot re-fire an injected fault.
 			key, res, ok := r.storeLookup(spec)
 			if ok {
 				if agg != nil {
@@ -337,8 +344,9 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 			if agg != nil {
 				agg.CellDone(aggSweep, i, spec.Obs.Registry.Gather())
 			}
-			// Only healthy cells are committed; failed cells re-run (and
-			// re-fail identically) on the next run against the store.
+			// Only healthy cells are committed; a failed cell's spec
+			// simulates again at its next occurrence, in this campaign or
+			// on the next run against the store.
 			r.storeCommit(key, res)
 			note()
 			return res, nil

@@ -4,17 +4,19 @@ package experiments
 // failures — the fail mode of its parallel.MapPolicy executor (which
 // isolates panics per cell), per-run limits (system.Limits), injected
 // faults, a structured failure log that flows into the Report's
-// failures section, and the content-addressed result store that lets
-// an interrupted or partially failed campaign resume by rerunning
-// against the same store. There are no in-process retries: cells are
-// deterministic, and a rerun against the store re-simulates exactly
-// the cells that failed. Stored cells are keyed by what
-// they simulate — system.ModelFingerprint and the run spec's digest —
-// so identical runs are shared across experiments, and an entry never
-// outlives the model or spec that produced it. Failure records address
-// cells as (sweep, cell): experiments begin their sweeps serially in
-// deterministic order, so that addressing is stable across runs and
-// across -j widths.
+// failures section, and the two-tier result cache. A Resilience is one
+// campaign: its memory tier serves any run spec the campaign already
+// simulated, and the optional content-addressed store extends that
+// across processes, so an interrupted or partially failed campaign
+// resumes by rerunning against the same store. There are no in-process
+// retries: cells are deterministic, and a rerun against the store
+// re-simulates exactly the cells that failed. Cached cells are keyed
+// by what they simulate — the run spec's digest, which folds in
+// system.ModelFingerprint — so identical runs are shared across sweeps
+// and experiments, and an entry never outlives the model or spec that
+// produced it. Failure records address cells as (sweep, cell):
+// experiments begin their sweeps serially in deterministic order, so
+// that addressing is stable across runs and across -j widths.
 
 import (
 	"bytes"
@@ -50,10 +52,11 @@ const (
 // deterministic.
 const injectCheckEvents = 256
 
-// Resilience configures sweep survival for one experiment campaign.
-// The zero value of each field is the conservative default, and a nil
-// *Resilience in Options behaves as the zero value: fail-fast, no
-// store, no limits beyond the campaign context, no injection.
+// Resilience configures sweep survival for one experiment campaign and
+// holds the campaign's results. The zero value of each field is the
+// conservative default, and a nil *Resilience in Options becomes a
+// fresh zero value per top-level call: fail-fast, no store, no limits
+// beyond the campaign context, no injection.
 type Resilience struct {
 	// Mode decides what a failed cell does to the campaign: FailFast
 	// aborts at the first failure; FailCollect and FailDegrade both run
@@ -64,11 +67,13 @@ type Resilience struct {
 	// (system.Limits.WallClock / EventBudget).
 	Timeout     time.Duration
 	EventBudget uint64
-	// Store, when non-nil, is the content-addressed result store:
-	// completed cells are committed to it under (ModelFingerprint, spec
-	// digest) and looked up before simulating, so an identical run is
-	// never simulated twice — across resumes, across processes, across
-	// experiments sharing the directory.
+	// Store, when non-nil, is the content-addressed result store behind
+	// the campaign's memory tier: completed cells are committed to it
+	// under (ModelFingerprint, spec digest) and looked up before
+	// simulating, so an identical run is never simulated twice across
+	// resumes, across processes and across experiments sharing the
+	// directory. Within one campaign, repeats replay from memory with
+	// or without a store.
 	Store *store.Store
 	// OnDegrade, when non-nil, receives the one-line warning emitted
 	// when store writes fail mid-campaign. Nil prints to stderr. It
@@ -86,6 +91,7 @@ type Resilience struct {
 	mu     sync.Mutex
 	sweeps int
 	cells  int
+	memo   map[string][]byte // spec digest -> encoded Result of a healthy cell
 }
 
 // SetInject arms deterministic fault injection from a CLI spec like
@@ -136,35 +142,48 @@ func (r *Resilience) beginSweep(total int) (base, sweep int) {
 	return base, sweep
 }
 
-// storeLookup returns a cell's address in the result store — its
-// spec's digest, or "" (simulate, do not store) when no store is
-// attached or the spec has no digest (a custom generator) — and the
-// stored result when the store holds one. The store verifies checksums
-// on read and quarantines anything invalid, so a payload is exactly the
-// bytes a completed run committed, and JSON round-trips float64
-// exactly, so the decoded Result is bit-identical to the original. A
-// payload that does not re-encode to the same bytes was written by a
-// build whose Result had other fields (a decode would silently zero or
-// drop them); it is a miss, and the re-simulated cell overwrites it.
+// storeLookup returns a cell's cache address — its spec's digest, or
+// "" (simulate, do not cache) when the spec has no digest (a custom
+// generator) — and the cached result when the campaign's memory or the
+// store holds one. Memory is checked first; a store hit is remembered
+// for the rest of the campaign. The store verifies checksums on read
+// and quarantines anything invalid, so a payload is exactly the bytes
+// a completed run produced, and JSON round-trips float64 exactly, so
+// the decoded Result is bit-identical to the original and shares no
+// memory with any earlier replay. A payload that does not re-encode to
+// the same bytes was written by a build whose Result had other fields
+// (a decode would silently zero or drop them); it is a miss, and the
+// re-simulated cell overwrites it.
 func (r *Resilience) storeLookup(spec system.Spec) (key string, res system.Result, ok bool) {
-	if r.Store == nil {
-		return "", res, false
-	}
 	key, err := spec.Digest()
 	if err != nil {
 		return "", res, false
 	}
-	data, ok := r.Store.Get(system.ModelFingerprint, key)
-	if !ok || json.Unmarshal(data, &res) != nil {
+	r.mu.Lock()
+	data, inMemo := r.memo[key]
+	r.mu.Unlock()
+	if !inMemo {
+		if r.Store == nil {
+			return key, res, false
+		}
+		if data, ok = r.Store.Get(system.ModelFingerprint, key); !ok {
+			return key, res, false
+		}
+	}
+	if json.Unmarshal(data, &res) != nil {
 		return key, system.Result{}, false
 	}
 	if again, err := json.Marshal(res); err != nil || !bytes.Equal(again, data) {
 		return key, system.Result{}, false
 	}
+	if !inMemo {
+		r.remember(key, data)
+	}
 	return key, res, true
 }
 
-// storeCommit commits a freshly simulated cell to the result store.
+// storeCommit records a freshly simulated healthy cell in the
+// campaign's memory and, when a store is attached, commits it there.
 // A commit that cannot persist degrades — the store's sticky write
 // disable plus one warning — and never fails the healthy cell.
 func (r *Resilience) storeCommit(key string, res system.Result) {
@@ -173,6 +192,10 @@ func (r *Resilience) storeCommit(key string, res system.Result) {
 	}
 	payload, err := json.Marshal(res)
 	if err != nil {
+		return
+	}
+	r.remember(key, payload)
+	if r.Store == nil {
 		return
 	}
 	if err := r.Store.Put(system.ModelFingerprint, key, payload); err != nil {
@@ -186,12 +209,22 @@ func (r *Resilience) storeCommit(key string, res system.Result) {
 	}
 }
 
+// remember adds an encoded healthy result to the campaign's memory.
+func (r *Resilience) remember(key string, payload []byte) {
+	r.mu.Lock()
+	if r.memo == nil {
+		r.memo = map[string][]byte{}
+	}
+	r.memo[key] = payload
+	r.mu.Unlock()
+}
+
 // Err returns the campaign-level verdict once every sweep has run:
 // non-nil in collect mode when failures were recorded. Degrade mode
 // returns nil — partial results are the contract — and fail-fast
 // campaigns never reach this point with failures.
 func (r *Resilience) Err() error {
-	if r == nil || r.Log == nil {
+	if r.Log == nil {
 		return nil
 	}
 	if n := r.Log.Len(); n > 0 && r.Mode == parallel.FailCollect {
@@ -236,10 +269,10 @@ func (r *Resilience) limitsFor(ctx context.Context, g int) *system.Limits {
 // unbounded. ctx (which may be nil) threads the caller's cancellation —
 // the CLI's signal handler — into the run's watchdog, so an interrupt
 // cancels in-flight runs at their next watchdog check; the armed
-// watchdog is read-only and never perturbs results. A nil receiver
-// (no resilience flags) yields only the cancellation.
+// watchdog is read-only and never perturbs results. A campaign with
+// neither bound yields only the cancellation.
 func (r *Resilience) RunLimits(ctx context.Context) *system.Limits {
-	if r == nil || (r.Timeout <= 0 && r.EventBudget == 0) {
+	if r.Timeout <= 0 && r.EventBudget == 0 {
 		if ctx != nil {
 			return &system.Limits{Ctx: ctx}
 		}

@@ -190,30 +190,49 @@ func TestStoreServesOnlyCurrentEntries(t *testing.T) {
 	}
 }
 
-// TestStoreSharedAcrossExperiments: Fig. 10's single-core points are a
-// subset of the Fig. 8/9 grid, and the grid repeats 429.mcf (its own
-// panel and a spec-high member), so a store shares runs within and
-// across experiments — each distinct spec is simulated once, whatever
-// the sweep width (-j is not part of what a cell simulates).
+// TestStoreSharedAcrossExperiments: the store shares runs across
+// processes and experiments, each modeled as a fresh Resilience over
+// the same directory. The first campaign's Fig. 8 simulates its 100
+// distinct specs and replays spec-high's 429.mcf from memory. A second
+// campaign replays all of Fig. 8 (100 store hits, 25 memory replays)
+// and then Fig. 10 from memory wherever it can — 12 of its single-core
+// cells are Fig. 8 grid points and 12 more repeat within Fig. 10 — so
+// only Fig. 10's 28 new specs simulate, whatever the sweep width (-j
+// is not part of what a cell simulates).
 func TestStoreSharedAcrossExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick Fig. 8 and Fig. 10 sweeps")
 	}
+	dir := t.TempDir()
 	o := Options{Quick: true, Instr: 4000, Parallelism: 2}
-	r := storeRes(t, t.TempDir(), nil, nil)
-	o.Res = r
-	if _, err := Fig8(o); err != nil {
-		t.Fatal(err)
+
+	r1 := storeRes(t, dir, nil, nil)
+	o.Res = r1
+	_, tally := fig8Tally(t, o)
+	if st := r1.Store.Stats(); st.Hits != 0 || st.Misses != 100 || st.Puts != 100 {
+		t.Fatalf("first fig8 store stats = %+v, want 0 hits, 100 misses, 100 puts", st)
 	}
-	if st := r.Store.Stats(); st.Hits != 25 || st.Misses != 100 || st.Puts != 100 {
-		t.Fatalf("fig8 store stats = %+v, want 25 hits, 100 misses, 100 puts", st)
+	if len(tally.started) != 100 || len(tally.replayed) != 25 {
+		t.Fatalf("first fig8: %d cells started, %d replayed; want 100, 25",
+			len(tally.started), len(tally.replayed))
+	}
+
+	r2 := storeRes(t, dir, nil, nil)
+	o.Res = r2
+	_, tally = fig8Tally(t, o)
+	if st := r2.Store.Stats(); st.Hits != 100 || st.Misses != 0 || st.Puts != 0 {
+		t.Fatalf("second fig8 store stats = %+v, want 100 hits and nothing else", st)
+	}
+	if len(tally.started) != 0 || len(tally.replayed) != 125 {
+		t.Fatalf("second fig8: %d cells started, %d replayed; want 0, 125",
+			len(tally.started), len(tally.replayed))
 	}
 	o.Parallelism = 1
 	if _, err := Fig10(o); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Store.Stats(); st.Hits != 25+24 || st.Misses != 100+28 || st.Puts != 100+28 {
-		t.Fatalf("fig8+fig10 store stats = %+v, want 49 hits, 128 misses, 128 puts", st)
+	if st := r2.Store.Stats(); st.Hits != 100 || st.Misses != 28 || st.Puts != 28 {
+		t.Fatalf("second fig8+fig10 store stats = %+v, want 100 hits, 28 misses, 28 puts", st)
 	}
 }
 
