@@ -1,12 +1,13 @@
 # Developer checks for the microbank simulator. `make check` is the
 # gate every change should pass: the race detector guards the
-# worker-pool experiment layer, the bench smoke keeps the engine's
-# zero-alloc hot path honest, and the protocol gate runs every shipped
-# configuration under the DRAM timing sanitizer (internal/check).
+# worker-pool experiment layer, the alloc guard keeps the zero-alloc
+# hot paths honest, the bench smoke keeps every trajectory benchmark
+# running, and the protocol gate runs every shipped configuration under
+# the DRAM timing sanitizer (internal/check).
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke bench-json bench-compare \
+.PHONY: check build vet test race bench bench-smoke perf-gate \
 	alloc-guard check-protocol check-policies fuzz-smoke resilience-smoke \
 	serve-smoke crash-smoke update-golden fmt all-quick
 
@@ -32,10 +33,13 @@ race:
 alloc-guard:
 	$(GO) test -run 'ZeroAllocGuard' -count=1 ./internal/sim/ ./internal/memctrl/ ./internal/cache/
 
-# Fast allocation regression check: the engine hot paths must stay at
-# 0 allocs/op (see EXPERIMENTS.md for recorded baselines).
+# Benchmark smoke: every trajectory benchmark (engine, controller
+# best/eval/formBatch, headline run, sweeps) runs once. It prints
+# allocs/op but gates nothing; alloc-guard is the allocation gate and
+# perf-gate the end-to-end gate.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem -benchtime=100x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkBest|BenchmarkEval|BenchmarkFormBatch|BenchmarkHeadlineRun|BenchmarkSweep' \
+		-benchmem -benchtime=1x ./internal/sim ./internal/memctrl .
 
 # Protocol gate: every shipped configuration, page-policy/scheduler
 # combination, interleaving, and a multicore run must produce zero
@@ -100,20 +104,12 @@ update-golden:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/system/ .
 
-# Machine-readable perf snapshot: runs the scheduler/engine
-# microbenchmarks plus the end-to-end headline run and writes
-# BENCH_<rev>.json (ns/op, allocs/op, simulated-seconds per
-# wall-second) for the current git revision. CI runs this with
-# BENCHTIME=1x as a smoke; use the default for a real baseline.
-bench-json:
-	$(GO) run ./cmd/benchjson $(if $(BENCHTIME),-benchtime $(BENCHTIME),)
-
-# Compare two recorded benchmark snapshots (per-benchmark ns/op delta
-# and speedup): make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json
-bench-compare:
-	@test -n "$(OLD)" && test -n "$(NEW)" || \
-		{ echo "usage: make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json"; exit 2; }
-	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)
+# No-regression gate: perfbench on this checkout against BASE on the
+# same host, every BENCHMARK.json workload, bounds from BENCHMARK.json
+# (see scripts/perf_gate.sh): make perf-gate BASE=<rev>
+perf-gate:
+	@test -n "$(BASE)" || { echo "usage: make perf-gate BASE=<rev>"; exit 2; }
+	bash scripts/perf_gate.sh $(BASE)
 
 fmt:
 	gofmt -l -w .

@@ -188,7 +188,7 @@ func BenchmarkHeadline(b *testing.B) {
 // benchHeadline times one multicore headline-class run per iteration
 // (the paper's LPDDR-TSI 2×8 configuration under a mixed SPEC profile)
 // with the given limits attached, and reports simulated-time-per-wall-
-// time so BENCH_<rev>.json tracks simulator throughput, not just ns/op.
+// time so the benchmark reports simulator throughput, not just ns/op.
 func benchHeadline(b *testing.B, lim *system.Limits) {
 	var simPS sim.Time
 	b.ResetTimer()
@@ -214,8 +214,8 @@ func benchHeadline(b *testing.B, lim *system.Limits) {
 	}
 }
 
-// BenchmarkHeadlineRun is the perf-trajectory anchor recorded by
-// `make bench-json`: one unbounded headline-class run.
+// BenchmarkHeadlineRun is the perf-trajectory anchor that
+// `make bench-smoke` runs once: one unbounded headline-class run.
 func BenchmarkHeadlineRun(b *testing.B) { benchHeadline(b, nil) }
 
 // BenchmarkHeadlineRunLimits is BenchmarkHeadlineRun with the full
@@ -235,9 +235,9 @@ func BenchmarkHeadlineRunLimits(b *testing.B) {
 // --- Sweep benchmarks ---
 //
 // The BenchmarkSweep family measures sweep throughput in sweep cells
-// completed per second (`benchjson -diff` gates it against
-// regressions). benchOpts leaves Parallelism at zero, so each sweep
-// runs on every CPU.
+// completed per second; perfbench's fig8_sweep workload is the gated
+// measure of Fig. 8 sweep throughput. benchOpts leaves Parallelism at
+// zero, so each sweep runs on every CPU.
 
 // benchSweepCells times fn (one whole sweep of `cells` runs) and
 // reports cells/sec.

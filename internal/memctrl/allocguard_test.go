@@ -4,7 +4,7 @@ package memctrl
 // the memctrl half of `make alloc-guard`. A regression here (a map
 // rebuilt per pass, a closure per retirement, an interface box on the
 // tracer seam) fails loudly instead of silently shifting the benchmark
-// baselines in BENCH_<rev>.json.
+// numbers.
 
 import (
 	"testing"
