@@ -9,7 +9,7 @@ GO ?= go
 
 .PHONY: check build vet test race bench bench-smoke perf-gate \
 	alloc-guard check-protocol check-policies fuzz-smoke resilience-smoke \
-	serve-smoke crash-smoke update-golden fmt all-quick
+	crash-smoke update-golden fmt all-quick
 
 check: build vet race alloc-guard bench-smoke check-protocol
 
@@ -66,12 +66,6 @@ resilience-smoke:
 		-fail-mode degrade -inject panic:1 -report /tmp/resilience-smoke.json
 	@grep -c '"kind": "panic"' /tmp/resilience-smoke.json | grep -qx 1
 	@echo "resilience smoke: 1 injected panic recorded, sweep degraded cleanly"
-
-# Live-observability smoke: a served headline sweep (-j 4) must expose
-# well-formed OpenMetrics with the noc_packets and sweep_failures
-# series, /status JSON, an SSE stream, and pprof.
-serve-smoke:
-	sh scripts/serve_smoke.sh
 
 # Durability smoke: a campaign SIGKILLed mid-sweep must resume from the
 # -store to a byte-identical report, SIGINT/SIGTERM must checkpoint and

@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,7 +26,6 @@ import (
 	"microbank/internal/config"
 	"microbank/internal/experiments"
 	"microbank/internal/obs"
-	"microbank/internal/obs/serve"
 	"microbank/internal/parallel"
 	"microbank/internal/sim"
 	"microbank/internal/stats"
@@ -55,9 +53,6 @@ func main() {
 		salp   = flag.Int("salp", 0, "SALP subarrays per bank for -exp run (0 = off, power of two)")
 		budget = flag.Int("bank-budget", 0, "per-(thread,bank) column-access budget per regulator epoch for -exp run (0 = regulator off)")
 		svgOut = flag.String("svg", "", "also write grid experiments (fig6a/fig6b/fig8/fig9) as SVG heatmaps with this filename prefix")
-
-		serveAddr   = flag.String("serve", "", "serve live observability on this address (e.g. :8080): /metrics OpenMetrics, /events SSE, /status JSON, /debug/pprof/")
-		serveLinger = flag.Duration("serve-linger", 0, "keep the -serve endpoints up this long after the run finishes, so final state can be scraped")
 
 		checkFlag  = flag.String("check", "off", "timing-protocol sanitizer for -exp run: off | collect | fatal")
 		traceOut   = flag.String("trace", "", "write DRAM commands of -exp run as Chrome trace-event JSON (open in Perfetto)")
@@ -101,35 +96,12 @@ func main() {
 		os.Exit(130)
 	}()
 
-	var (
-		agg *obs.Aggregator
-		srv *serve.Server
-	)
-	if *serveAddr != "" {
-		agg = obs.NewAggregator(*exp)
-		s, err := serve.New(*serveAddr, agg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "microbank:", err)
-			os.Exit(1)
-		}
-		srv = s
-		o.Agg = agg
-		fmt.Fprintf(os.Stderr, "microbank: serving observability on http://%s (/metrics /events /status /debug/pprof/)\n", srv.Addr())
-	}
-
 	res, err := buildResilience(*failMode, *timeout, *eventBudget, *storeDir, *injectSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "microbank:", err)
 		os.Exit(1)
 	}
 	o.Res = res
-	if agg != nil && res.Store != nil {
-		s := res.Store
-		agg.SetStoreStats(func() (uint64, uint64, uint64) {
-			st := s.Stats()
-			return st.Hits, st.Misses, st.Quarantined
-		})
-	}
 
 	if *pprofOut != "" {
 		f, err := os.Create(*pprofOut)
@@ -151,9 +123,7 @@ func main() {
 	if *reportOut != "" {
 		report = experiments.NewReport(*exp, o)
 	}
-	oflags := obsFlags{trace: *traceOut, metrics: *metricsOut, epochCycles: *epochCyc, check: *checkFlag,
-		sweepGauges: *failMode != "fail-fast" || *timeout > 0 || *eventBudget > 0 ||
-			*storeDir != "" || *injectSpec != ""}
+	oflags := obsFlags{trace: *traceOut, metrics: *metricsOut, epochCycles: *epochCyc, check: *checkFlag}
 	rflags := runFlags{wl: *wl, nw: *nw, nb: *nb, iface: *iface, policy: *policy,
 		ibit: *ibit, sched: *sched, salp: *salp, budget: *budget}
 
@@ -170,9 +140,9 @@ func main() {
 	}
 	if report != nil {
 		// A failed run still flushes its report as valid JSON, marked
-		// aborted, so post-mortems and live consumers can load partial
-		// results. Collect-mode cell failures are not an abort: that run
-		// completed (degraded) and its report carries Failures instead.
+		// aborted, so post-mortems can load partial results. Collect-mode
+		// cell failures are not an abort: that run completed (degraded)
+		// and its report carries Failures instead.
 		if err != nil {
 			report.Aborted = err.Error()
 		}
@@ -190,22 +160,6 @@ func main() {
 	}
 	if err == nil {
 		err = res.Err() // collect mode: failures mean a nonzero exit
-	}
-	if agg != nil {
-		agg.Finish(err)
-	}
-	if srv != nil {
-		if *serveLinger > 0 {
-			fmt.Fprintf(os.Stderr, "microbank: -serve lingering %s on http://%s\n",
-				*serveLinger, srv.Addr())
-			// Interruptible: a signal during the linger (the run itself is
-			// over) tears the endpoints down instead of holding the port.
-			select {
-			case <-time.After(*serveLinger):
-			case <-ctx.Done():
-			}
-		}
-		srv.Close()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "microbank:", err)
@@ -278,9 +232,6 @@ type obsFlags struct {
 	metrics     string
 	epochCycles uint64
 	check       string
-	// sweepGauges exports the campaign's sweep and store gauges into
-	// the run's registry; set when any resilience flag is given.
-	sweepGauges bool
 }
 
 // runFlags carries the -exp run configuration options.
@@ -497,16 +448,15 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 	spec.WarmupInstr = o.Instr / 2
 	spec.Limits = o.Res.RunLimits(o.Ctx)
 
-	agg := o.Agg
 	var (
 		observer *obs.Observer
 		sampler  *obs.Sampler
 		tracer   *obs.ChromeTracer
 		checker  *check.Checker
 	)
-	if of.trace != "" || of.metrics != "" || of.check != "off" || agg != nil {
+	if of.trace != "" || of.metrics != "" || of.check != "off" {
 		observer = obs.NewObserver()
-		if of.metrics != "" || agg != nil {
+		if of.metrics != "" {
 			if of.epochCycles == 0 {
 				return fmt.Errorf("-epoch must be positive")
 			}
@@ -527,34 +477,12 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 			return fmt.Errorf("unknown -check mode %q (off | collect | fatal)", of.check)
 		}
 		spec.Obs = observer
-		if of.sweepGauges {
-			o.Res.RegisterMetrics(observer.Registry)
-		}
-	}
-
-	aggSweep := -1
-	if agg != nil {
-		aggSweep = agg.BeginSweep(1)
-		agg.CellStarted(aggSweep, 0)
-		sweep := aggSweep
-		sampler.OnSample = func(at sim.Time, names []string, row []float64) {
-			agg.PublishEpoch(sweep, 0, uint64(at), names, row)
-		}
-		// OnDiag alone arms only the watchdog's reporting cadence — it
-		// cannot trip a limit, so serving a run never fails it.
-		if spec.Limits == nil {
-			spec.Limits = &system.Limits{}
-		}
-		spec.Limits.OnDiag = func(d system.Diag) { agg.SetDiag(d) }
 	}
 
 	res, err := runGuarded(spec)
 	if err != nil {
-		flushAborted(err, agg, aggSweep, tracer, sampler, of, report)
+		flushAborted(err, tracer, sampler, of, report)
 		return err
-	}
-	if agg != nil {
-		agg.CellDone(aggSweep, 0, observer.Registry.Gather())
 	}
 	t := stats.NewTable(fmt.Sprintf("%s on %s (%d,%d), %s page, iB=%d",
 		rf.wl, rf.iface, rf.nw, rf.nb, rf.policy, rf.ibit), "Metric", "Value")
@@ -594,7 +522,7 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 		}
 		fmt.Printf("wrote %s (%d DRAM commands, %d bytes)\n", of.trace, tracer.Len(), n)
 	}
-	if sampler != nil && of.metrics != "" {
+	if sampler != nil {
 		if werr := writeMetricsFile(sampler, of.metrics, report); werr != nil {
 			return werr
 		}
@@ -659,11 +587,10 @@ func writeMetricsFile(sampler *obs.Sampler, path string, report *experiments.Rep
 // flushAborted finalizes the partial artifacts of a run killed by a
 // panic, tripped limit, or fatal protocol violation: the Chrome trace
 // and epoch metrics collected so far are still written — the trace as
-// valid JSON carrying an "aborted" marker — and the failure is recorded
-// with the campaign aggregator. Notices go to stderr; stdout stays
-// reserved for the output of completed runs.
-func flushAborted(err error, agg *obs.Aggregator, aggSweep int, tracer *obs.ChromeTracer,
-	sampler *obs.Sampler, of obsFlags, report *experiments.Report) {
+// valid JSON carrying an "aborted" marker. Notices go to stderr; stdout
+// stays reserved for the output of completed runs.
+func flushAborted(err error, tracer *obs.ChromeTracer, sampler *obs.Sampler,
+	of obsFlags, report *experiments.Report) {
 	if tracer != nil {
 		tracer.Aborted = err.Error()
 		if _, werr := writeTrace(tracer, of.trace, report); werr != nil {
@@ -673,7 +600,7 @@ func flushAborted(err error, agg *obs.Aggregator, aggSweep int, tracer *obs.Chro
 				of.trace, tracer.Len())
 		}
 	}
-	if sampler != nil && of.metrics != "" {
+	if sampler != nil {
 		if werr := writeMetricsFile(sampler, of.metrics, report); werr != nil {
 			fmt.Fprintln(os.Stderr, "microbank:", werr)
 		} else {
@@ -681,26 +608,4 @@ func flushAborted(err error, agg *obs.Aggregator, aggSweep int, tracer *obs.Chro
 				of.metrics, sampler.Epochs())
 		}
 	}
-	if agg != nil {
-		f := obs.CellFailure{Sweep: aggSweep, Cell: 0, Kind: failKind(err),
-			Error: err.Error()}
-		var le *system.LimitError
-		if errors.As(err, &le) {
-			f.Diag = le.Diag
-		}
-		agg.CellFailed(f)
-	}
-}
-
-// failKind classifies an ad-hoc run failure with the sweep taxonomy.
-func failKind(err error) string {
-	var le *system.LimitError
-	if errors.As(err, &le) {
-		return le.Kind
-	}
-	var fv *check.FatalViolation
-	if errors.As(err, &fv) {
-		return experiments.FailKindProtocol
-	}
-	return experiments.FailKindError
 }

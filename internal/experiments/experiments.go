@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"microbank/internal/config"
-	"microbank/internal/obs"
 	"microbank/internal/parallel"
 	"microbank/internal/stats"
 	"microbank/internal/system"
@@ -72,14 +71,6 @@ type Options struct {
 	// executes under runtime/pprof labels (exp, cell, variant) so CPU
 	// profiles of a sweep attribute samples to individual cells.
 	Exp string
-	// Agg, when non-nil, feeds the live observability plane (-serve):
-	// every sweep cell runs with its own registry-only observer whose
-	// snapshot merges into the aggregator at the cell boundary, and
-	// progress and failure events stream to it as they happen.
-	// Observation is read-only and per-cell registries stay
-	// registry-only (no sampler/tracer), so results are untouched. Nil
-	// costs nothing.
-	Agg *obs.Aggregator
 }
 
 // ctx returns the campaign context, never nil.
@@ -251,12 +242,17 @@ type cellMetrics struct {
 	edpJs float64
 }
 
+// runSpec is how mapRuns simulates a cell: system.Run, which tests
+// swap for a counting wrapper to see which cells simulated and which
+// replayed.
+var runSpec = system.Run
+
 // mapRuns fans independent simulation runs out over o.Parallelism
 // workers: build turns each job into its run spec, and mapRuns attaches
-// the cell's limits and observer and calls system.Run — the one place
-// sweep cells execute. Results come back in job order, so callers
-// reduce them with the exact arithmetic order of the serial loops this
-// layer replaced — parallel output stays byte-identical to serial. The
+// the cell's limits and calls system.Run — the one place sweep cells
+// execute. Results come back in job order, so callers reduce them with
+// the exact arithmetic order of the serial loops this layer replaced —
+// parallel output stays byte-identical to serial. The
 // optional Progress callback observes completions (in completion order,
 // which is schedule-dependent); it never influences results.
 //
@@ -275,11 +271,6 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 		if o.Progress != nil {
 			o.Progress(int(done.Add(1)), total)
 		}
-	}
-	agg := o.Agg
-	aggSweep := -1
-	if agg != nil {
-		aggSweep = agg.BeginSweep(total)
 	}
 	idx := make([]int, total)
 	for i := range idx {
@@ -311,9 +302,6 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 			// cannot re-fire an injected fault.
 			key, res, ok := r.storeLookup(spec)
 			if ok {
-				if agg != nil {
-					agg.CellReplayed(aggSweep, i)
-				}
 				note()
 				return res, nil
 			}
@@ -324,25 +312,15 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 			case "error":
 				return system.Result{}, fmt.Errorf("injected error at campaign cell %d", g)
 			}
-			// With an aggregator attached the cell gets a fresh
-			// registry-only observer (observation is read-only) whose
-			// boundary snapshot merges on success. Every cell executes
-			// under pprof labels so a CPU profile of a sweep attributes
-			// samples to individual cells and variants.
+			// Every cell executes under pprof labels so a CPU profile of a
+			// sweep attributes samples to individual cells and variants.
 			spec.Limits = r.limitsFor(o.Ctx, g)
-			if agg != nil {
-				spec.Obs = obs.NewObserver()
-				agg.CellStarted(aggSweep, i)
-			}
 			var rerr error
 			pprof.Do(context.Background(), pprof.Labels(
 				"exp", o.Exp, "cell", strconv.Itoa(g), "variant", fmt.Sprintf("%+v", jobs[i])),
-				func(context.Context) { res, rerr = system.Run(spec) })
+				func(context.Context) { res, rerr = runSpec(spec) })
 			if rerr != nil {
 				return system.Result{}, rerr
-			}
-			if agg != nil {
-				agg.CellDone(aggSweep, i, spec.Obs.Registry.Gather())
 			}
 			// Only healthy cells are committed; a failed cell's spec
 			// simulates again at its next occurrence, in this campaign or
@@ -352,12 +330,7 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 			return res, nil
 		})
 	for _, te := range fails {
-		f := failureRecord(sweep, te)
-		r.Log.add(f)
-		if agg != nil {
-			agg.CellFailed(obs.CellFailure{Sweep: aggSweep, Cell: f.Cell,
-				Kind: f.Kind, Error: f.Error, Digest: f.Digest, Diag: f.Diag})
-		}
+		r.Log.add(failureRecord(sweep, te))
 	}
 	if err != nil {
 		return nil, nil, err

@@ -5,63 +5,90 @@ package experiments
 // memoizes a failure, and shares nothing with another campaign.
 
 import (
-	"encoding/json"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
-	"microbank/internal/obs"
+	"microbank/internal/config"
 	"microbank/internal/parallel"
+	"microbank/internal/system"
 )
 
-// sweepTally counts a campaign's cell lifecycle as its aggregator saw
-// it: the (sweep, cell) pairs that started a simulation, the ones
-// replayed from the campaign's memory or the store, and the Progress
-// callbacks.
-type sweepTally struct {
-	started, replayed map[[2]int]bool
-	progress          int
+// tinySpec is a fast single-core run for exercising the sweep wiring.
+func tinySpec(seed int64) system.Spec {
+	o := Options{Quick: true, Instr: 4000, Seed: seed}.withDefaults()
+	return singleSpec("429.mcf", config.LPDDRTSI, 1, 1, nil, o)
 }
 
-// fig8Tally runs Fig. 8 with a fresh aggregator and tallies its cells.
+// countSims runs f with mapRuns's runSpec swapped for a wrapper that
+// counts the simulations f causes, per run spec digest. Tests in this
+// package do not run in parallel, so the swap is safe.
+func countSims(t *testing.T, f func()) map[string]int {
+	t.Helper()
+	var mu sync.Mutex
+	sims := map[string]int{}
+	runSpec = func(spec system.Spec) (system.Result, error) {
+		d, err := spec.Digest()
+		if err != nil {
+			t.Errorf("simulated a spec without a digest: %v", err)
+		}
+		mu.Lock()
+		sims[d]++
+		mu.Unlock()
+		return system.Run(spec)
+	}
+	defer func() { runSpec = system.Run }()
+	f()
+	return sims
+}
+
+// sweepTally counts a campaign's simulations per run spec digest and
+// its Progress callbacks, which fire for every completed cell,
+// simulated or replayed.
+type sweepTally struct {
+	sims     map[string]int
+	progress int
+}
+
+// simulated returns how many simulations ran.
+func (s sweepTally) simulated() int {
+	n := 0
+	for _, c := range s.sims {
+		n += c
+	}
+	return n
+}
+
+// of returns how many times spec was simulated.
+func (s sweepTally) of(t *testing.T, spec system.Spec) int {
+	t.Helper()
+	d, err := spec.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.sims[d]
+}
+
+// fig8Tally runs Fig. 8 and tallies its simulations.
 func fig8Tally(t *testing.T, o Options) ([]*GridData, sweepTally) {
 	t.Helper()
-	agg := obs.NewAggregator("fig8")
-	events, cancel := agg.Subscribe(1 << 12)
 	var progress atomic.Int64
-	o.Agg = agg
 	o.Progress = func(int, int) { progress.Add(1) }
-	grids, err := Fig8(o)
-	cancel()
+	var (
+		grids []*GridData
+		err   error
+	)
+	sims := countSims(t, func() { grids, err = Fig8(o) })
 	if err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}
-	tally := sweepTally{started: map[[2]int]bool{}, replayed: map[[2]int]bool{},
-		progress: int(progress.Load())}
-	n := 0
-	for ev := range events {
-		n++
-		if ev.Type != "cell" {
-			continue
-		}
-		var c struct {
-			Sweep, Cell int
-			State       string
-		}
-		if err := json.Unmarshal(ev.Data, &c); err != nil {
-			t.Fatal(err)
-		}
-		switch c.State {
-		case "start":
-			tally.started[[2]int{c.Sweep, c.Cell}] = true
-		case "replayed":
-			tally.replayed[[2]int{c.Sweep, c.Cell}] = true
-		}
-	}
-	if n == 1<<12 {
-		t.Fatal("event buffer filled; the tally may have dropped events")
-	}
-	return grids, tally
+	return grids, sweepTally{sims: sims, progress: int(progress.Load())}
+}
+
+// mcfSpec is the quick Fig. 8 run spec of 429.mcf at (nW, nB).
+func mcfSpec(o Options, nW, nB int) system.Spec {
+	return singleSpec("429.mcf", config.LPDDRTSI, nW, nB, nil, o.withDefaults())
 }
 
 // TestSweepReplaysRepeatedSpecs: the quick Fig. 8 sweep runs 429.mcf
@@ -76,13 +103,20 @@ func TestSweepReplaysRepeatedSpecs(t *testing.T) {
 	}
 	o := Options{Quick: true, Instr: 4000, Parallelism: 2}
 	grids, tally := fig8Tally(t, o)
-	if len(tally.started) != 100 || len(tally.replayed) != 25 || tally.progress != 125 {
-		t.Fatalf("%d cells started, %d replayed, progress %d; want 100, 25, 125",
-			len(tally.started), len(tally.replayed), tally.progress)
+	// Every completed cell reports progress; the ones that did not
+	// simulate replayed.
+	if sim := tally.simulated(); sim != 100 || tally.progress-sim != 25 || tally.progress != 125 {
+		t.Fatalf("%d cells simulated, %d replayed, progress %d; want 100, 25, 125",
+			sim, tally.progress-sim, tally.progress)
 	}
-	for c := 0; c < 25; c++ { // sweep 1 is spec-high's 429.mcf
-		if !tally.replayed[[2]int{1, c}] {
-			t.Fatalf("spec-high 429.mcf cell %d was not replayed", c)
+	// 429.mcf runs as sweep 0, and again as sweep 1 inside spec-high.
+	// Sweeps run one after another, so simulating each of its specs
+	// once means spec-high's cells 0-24 all replayed.
+	for _, nB := range Axis {
+		for _, nW := range Axis {
+			if n := tally.of(t, mcfSpec(o, nW, nB)); n != 1 {
+				t.Fatalf("429.mcf (%d,%d) simulated %d times; spec-high's cell was not replayed", nW, nB, n)
+			}
 		}
 	}
 
@@ -113,8 +147,7 @@ func TestSweepReplaysRepeatedSpecs(t *testing.T) {
 	// (here its PerCore slice) changes neither the campaign's memory
 	// nor any later replay.
 	t.Run("unaliased", func(t *testing.T) {
-		agg := obs.NewAggregator("test")
-		o := Options{Quick: true, Instr: 4000, Parallelism: 1, Res: &Resilience{}, Agg: agg}
+		o := Options{Quick: true, Instr: 4000, Parallelism: 1, Res: &Resilience{}}
 		instr := func() uint64 {
 			t.Helper()
 			results, failed, err := mapRuns(o, []int64{7}, tinySpec)
@@ -125,15 +158,17 @@ func TestSweepReplaysRepeatedSpecs(t *testing.T) {
 			results[0].PerCore[0].Instructions = 1
 			return got
 		}
-		want := instr() // simulated
-		for i := 0; i < 2; i++ {
-			if got := instr(); got != want { // replayed
-				t.Fatalf("replay %d after an edit: %d instructions, want %d", i, got, want)
+		sims := countSims(t, func() {
+			want := instr() // simulated
+			for i := 0; i < 2; i++ {
+				if got := instr(); got != want { // replayed
+					t.Fatalf("replay %d after an edit: %d instructions, want %d", i, got, want)
+				}
 			}
-		}
-		// Only the first call simulated: one cell's metrics were merged.
-		if v := aggValue(t, agg, "cpu.instr_retired"); v != float64(want) {
-			t.Fatalf("merged cpu.instr_retired = %v, want one run's %d", v, want)
+		})
+		// Only the first call simulated.
+		if n := (sweepTally{sims: sims}).simulated(); n != 1 {
+			t.Fatalf("%d simulations, want one", n)
 		}
 	})
 
@@ -152,11 +187,13 @@ func TestSweepReplaysRepeatedSpecs(t *testing.T) {
 		if len(fails) != 1 || fails[0].Sweep != 0 || fails[0].Cell != 3 || fails[0].Kind != FailKindError {
 			t.Fatalf("failures = %+v, want the injected error at sweep 0 cell 3", fails)
 		}
-		if !tally.started[[2]int{1, 3}] || tally.replayed[[2]int{1, 3}] {
-			t.Fatal("campaign cell 28 replayed; a failed spec must simulate again")
+		// Cell 3 fails before it simulates, so the one simulation of
+		// its spec is cell 28's.
+		if n := tally.of(t, mcfSpec(o, 8, 1)); n != 1 {
+			t.Fatalf("429.mcf (8,1) simulated %d times; campaign cell 28 must simulate once", n)
 		}
-		if len(tally.started) != 100 || len(tally.replayed) != 24 {
-			t.Fatalf("%d cells started, %d replayed; want 100, 24", len(tally.started), len(tally.replayed))
+		if sim := tally.simulated(); sim != 100 || tally.progress-sim != 24 {
+			t.Fatalf("%d cells simulated, %d replayed; want 100, 24", sim, tally.progress-sim)
 		}
 		if !failedGrids[0].Missing[[2]int{8, 1}] {
 			t.Fatal("429.mcf panel does not mark its failed (8,1) cell")
@@ -176,8 +213,8 @@ func TestCampaignsShareNothing(t *testing.T) {
 	}
 	o := Options{Quick: true, Instr: 4000, Parallelism: 2}
 	for call := 0; call < 2; call++ {
-		if _, tally := fig8Tally(t, o); len(tally.started) != 100 {
-			t.Fatalf("call %d simulated %d cells, want 100", call, len(tally.started))
+		if _, tally := fig8Tally(t, o); tally.simulated() != 100 {
+			t.Fatalf("call %d simulated %d cells, want 100", call, tally.simulated())
 		}
 	}
 }

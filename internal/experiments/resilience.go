@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"microbank/internal/check"
-	"microbank/internal/obs"
 	"microbank/internal/parallel"
 	"microbank/internal/store"
 	"microbank/internal/system"
@@ -231,24 +230,6 @@ func (r *Resilience) Err() error {
 		return fmt.Errorf("sweep: %d cell(s) failed (failure records in the report)", n)
 	}
 	return nil
-}
-
-// RegisterMetrics exports the campaign's failure count into an obs
-// registry as the sweep.failures gauge, plus the store counters when a
-// store is attached.
-func (r *Resilience) RegisterMetrics(reg *obs.Registry) {
-	r.mu.Lock()
-	if r.Log == nil {
-		r.Log = &FailureLog{}
-	}
-	log := r.Log
-	r.mu.Unlock()
-	reg.GaugeFunc("sweep.failures", func() float64 { return float64(log.Len()) })
-	if s := r.Store; s != nil {
-		reg.GaugeFunc("store.hits", func() float64 { return float64(s.Stats().Hits) })
-		reg.GaugeFunc("store.misses", func() float64 { return float64(s.Stats().Misses) })
-		reg.GaugeFunc("store.quarantined", func() float64 { return float64(s.Stats().Quarantined) })
-	}
 }
 
 // limitsFor builds the per-run limits for campaign cell g: an injected

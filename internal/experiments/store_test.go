@@ -212,9 +212,9 @@ func TestStoreSharedAcrossExperiments(t *testing.T) {
 	if st := r1.Store.Stats(); st.Hits != 0 || st.Misses != 100 || st.Puts != 100 {
 		t.Fatalf("first fig8 store stats = %+v, want 0 hits, 100 misses, 100 puts", st)
 	}
-	if len(tally.started) != 100 || len(tally.replayed) != 25 {
-		t.Fatalf("first fig8: %d cells started, %d replayed; want 100, 25",
-			len(tally.started), len(tally.replayed))
+	if sim := tally.simulated(); sim != 100 || tally.progress-sim != 25 {
+		t.Fatalf("first fig8: %d cells simulated, %d replayed; want 100, 25",
+			sim, tally.progress-sim)
 	}
 
 	r2 := storeRes(t, dir, nil, nil)
@@ -223,9 +223,9 @@ func TestStoreSharedAcrossExperiments(t *testing.T) {
 	if st := r2.Store.Stats(); st.Hits != 100 || st.Misses != 0 || st.Puts != 0 {
 		t.Fatalf("second fig8 store stats = %+v, want 100 hits and nothing else", st)
 	}
-	if len(tally.started) != 0 || len(tally.replayed) != 125 {
-		t.Fatalf("second fig8: %d cells started, %d replayed; want 0, 125",
-			len(tally.started), len(tally.replayed))
+	if sim := tally.simulated(); sim != 0 || tally.progress != 125 {
+		t.Fatalf("second fig8: %d cells simulated, %d replayed; want 0, 125",
+			sim, tally.progress-sim)
 	}
 	o.Parallelism = 1
 	if _, err := Fig10(o); err != nil {

@@ -28,12 +28,6 @@ type Sampler struct {
 	reg   *Registry
 	every sim.Time
 
-	// OnSample, when non-nil, observes each recorded epoch row right
-	// after it is gathered (live streaming to the campaign aggregator).
-	// The callback runs on the simulation goroutine and must not block
-	// or mutate names/row; both stay owned by the sampler.
-	OnSample func(at sim.Time, names []string, row []float64)
-
 	names []string
 	times []sim.Time
 	rows  [][]float64
@@ -79,9 +73,6 @@ func (s *Sampler) sample(at sim.Time) {
 	}
 	s.times = append(s.times, at)
 	s.rows = append(s.rows, row)
-	if s.OnSample != nil {
-		s.OnSample(at, s.names, row)
-	}
 }
 
 // Epochs returns the number of recorded epochs.

@@ -57,11 +57,12 @@ type Limits struct {
 	// windows with a frozen sim clock (default defaultStallWindows).
 	StallWindows int
 	// OnDiag, when non-nil, receives a fresh machine diagnostic snapshot
-	// at every watchdog check (the live-observability feed behind
-	// /status). It runs on the simulation goroutine and must not block
-	// or mutate anything. OnDiag alone arms only the reporting cadence:
-	// it never trips a limit, so a run bounded by nothing else cannot
-	// fail because it is being watched.
+	// at every watchdog check; perfbench's traced op samples the event
+	// queue depth and controller queue lengths through it. It runs on
+	// the simulation goroutine and must not block or mutate anything.
+	// OnDiag alone arms only the reporting cadence: it never trips a
+	// limit, so a run bounded by nothing else cannot fail because it is
+	// being watched.
 	OnDiag func(Diag)
 }
 

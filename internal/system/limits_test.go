@@ -124,9 +124,9 @@ func TestLimitErrorRendering(t *testing.T) {
 }
 
 // TestOnDiagOnlyLeavesMetricsAlone: arming only Limits.OnDiag (the
-// -serve diagnostic feed) must not register the watchdog's own gauge or
-// change any gathered value — the metric stream with -serve on is
-// byte-identical to without.
+// diagnostic feed perfbench's traced op reads) must not register the
+// watchdog's own gauge or change any gathered value — the metric stream
+// of a watched run is byte-identical to an unwatched one.
 func TestOnDiagOnlyLeavesMetricsAlone(t *testing.T) {
 	plain := singleSpec("429.mcf", 2, 8, 4000)
 	plain.Obs = &obs.Observer{Registry: obs.NewRegistry()}

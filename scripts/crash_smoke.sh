@@ -2,9 +2,11 @@
 # Durability smoke for the content-addressed result store: prove that a
 # campaign killed with SIGKILL mid-sweep resumes from the store to a
 # byte-identical report, that a SIGINT/SIGTERM interrupt checkpoints and
-# flushes valid aborted artifacts, and that flipped bytes in a committed
+# flushes valid aborted artifacts, that flipped bytes in a committed
 # entry are quarantined and re-simulated instead of crashing the run or
-# poisoning the result. Run via `make crash-smoke`.
+# poisoning the result, and that a single `-exp run` killed by a tripped
+# limit still writes its trace, metrics and report as valid JSON marked
+# aborted. Needs jq. Run via `make crash-smoke`.
 set -eu
 
 OUT="$(mktemp -d)"
@@ -132,4 +134,24 @@ grep -q 'store: .* [1-9][0-9]* quarantined' "$OUT/heal.err" || {
     echo "crash smoke: quarantine directory is empty" >&2; exit 1; }
 echo "crash smoke: phase 4 ok (flipped byte quarantined, cell re-simulated, report byte-identical)"
 
-echo "crash smoke: store survives SIGKILL, SIGTERM, and corruption with byte-identical results"
+# --- Phase 5: a tripped limit flushes -exp run's artifacts ------------
+# The event budget trips long before 200k instructions retire, so the run
+# fails and must still write all three artifacts, each valid JSON.
+rc=0
+"$OUT/microbank" -exp run -instr 200000 -event-budget 20000 \
+    -trace "$OUT/t.json" -metrics-out "$OUT/m.json" -report "$OUT/r.json" \
+    >/dev/null 2>"$OUT/run.err" || rc=$?
+[ "$rc" -ne 0 ] || {
+    echo "crash smoke: -exp run exited 0 despite its event budget" >&2; exit 1; }
+for f in t.json m.json r.json; do
+    jq -e . "$OUT/$f" >/dev/null || {
+        echo "crash smoke: aborted -exp run left $f missing or invalid" >&2
+        cat "$OUT/run.err" >&2; exit 1; }
+done
+jq -e '.otherData.aborted | length > 0' "$OUT/t.json" >/dev/null || {
+    echo "crash smoke: aborted trace lacks otherData.aborted" >&2; exit 1; }
+jq -e '.aborted | length > 0' "$OUT/r.json" >/dev/null || {
+    echo "crash smoke: aborted -exp run report lacks the aborted marker" >&2; exit 1; }
+echo "crash smoke: phase 5 ok (-exp run event budget -> exit $rc, trace, metrics and report flushed aborted)"
+
+echo "crash smoke: store survives SIGKILL, SIGTERM, and corruption with byte-identical results; -exp run flushes its artifacts on abort"
