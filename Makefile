@@ -58,14 +58,20 @@ check-policies:
 	$(GO) test -race -run 'TestSchedulerMatchesMapReference' -count=1 ./internal/memctrl/
 	$(GO) test -race -count=1 ./internal/qos/
 
-# Resilience smoke: a sweep with an injected panicking cell must
-# complete under -fail-mode=degrade with exactly one recorded panic
-# failure in the report (see the Resilience section of EXPERIMENTS.md).
+# Resilience smoke: a sweep with an injected panicking cell must run
+# every cell under -fail-mode=collect, write a report holding exactly
+# one panic failure record and no abort marker, and exit with status 1
+# (see the Resilience section of EXPERIMENTS.md).
 resilience-smoke:
-	$(GO) run ./cmd/microbank -exp headline -quick -instr 4000 \
-		-fail-mode degrade -inject panic:1 -report /tmp/resilience-smoke.json
-	@grep -c '"kind": "panic"' /tmp/resilience-smoke.json | grep -qx 1
-	@echo "resilience smoke: 1 injected panic recorded, sweep degraded cleanly"
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/microbank" ./cmd/microbank || exit 1; \
+	"$$d/microbank" -exp headline -quick -instr 4000 -fail-mode collect \
+		-inject panic:1 -report "$$d/r.json" >/dev/null; s=$$?; \
+	test "$$s" -eq 1 || { echo "resilience smoke: exit status $$s, want 1"; exit 1; }; \
+	test "$$(grep -c '"kind": "panic"' "$$d/r.json")" -eq 1 || \
+		{ echo "resilience smoke: want exactly one panic record"; exit 1; }; \
+	! grep -q '"aborted"' "$$d/r.json" || { echo "resilience smoke: report marked aborted"; exit 1; }; \
+	echo "resilience smoke: 1 injected panic recorded, sweep completed, exit status 1"
 
 # Durability smoke: a campaign SIGKILLed mid-sweep must resume from the
 # -store to a byte-identical report, SIGINT/SIGTERM must checkpoint and

@@ -26,7 +26,6 @@ import (
 	"microbank/internal/config"
 	"microbank/internal/experiments"
 	"microbank/internal/obs"
-	"microbank/internal/parallel"
 	"microbank/internal/sim"
 	"microbank/internal/stats"
 	"microbank/internal/store"
@@ -64,11 +63,17 @@ func main() {
 
 		timeout     = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = none); exceeded runs fail with a diagnostic snapshot")
 		eventBudget = flag.Uint64("event-budget", 0, "per-run simulation event budget (0 = none)")
-		failMode    = flag.String("fail-mode", "fail-fast", "sweep reaction to a failed cell: fail-fast | collect | degrade")
+		failMode    = flag.String("fail-mode", "fail-fast", "sweep reaction to a failed cell: fail-fast | collect (run every cell, report the failures, exit nonzero)")
 		storeDir    = flag.String("store", "", "content-addressed result store directory: completed sweep cells are committed to it (checksummed, atomic) keyed by model and run spec, and replayed byte-identically by any later run — rerunning against the same store resumes a campaign")
 		injectSpec  = flag.String("inject", "", "deterministic fault injection for testing, e.g. panic:1,timeout:3 (kinds: panic error timeout budget)")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlagScope(*exp, set); err != nil {
+		fmt.Fprintln(os.Stderr, "microbank:", err)
+		os.Exit(1)
+	}
 
 	o := experiments.Options{Instr: *instr, Cores: *cores, Quick: *quick, Seed: *seed,
 		Parallelism: *jobs, Exp: *exp}
@@ -141,8 +146,8 @@ func main() {
 	if report != nil {
 		// A failed run still flushes its report as valid JSON, marked
 		// aborted, so post-mortems can load partial results. Collect-mode
-		// cell failures are not an abort: that run completed (degraded)
-		// and its report carries Failures instead.
+		// cell failures are not an abort: that run completed with partial
+		// results and its report carries Failures instead.
 		if err != nil {
 			report.Aborted = err.Error()
 		}
@@ -177,11 +182,18 @@ func main() {
 // experiment replays from memory in the next.
 func buildResilience(failMode string, timeout time.Duration,
 	eventBudget uint64, storeDir, inject string) (*experiments.Resilience, error) {
-	mode, err := parallel.ParseFailMode(failMode)
-	if err != nil {
-		return nil, err
+	res := &experiments.Resilience{Timeout: timeout, EventBudget: eventBudget}
+	switch failMode {
+	case "fail-fast":
+	case "collect":
+		res.Collect = true
+	default:
+		hint := "fail-fast | collect"
+		if failMode == "degrade" {
+			hint = "use collect: it writes the same report and exits nonzero"
+		}
+		return nil, fmt.Errorf("unknown fail mode %q (%s)", failMode, hint)
 	}
-	res := &experiments.Resilience{Mode: mode, Timeout: timeout, EventBudget: eventBudget}
 	if err := res.SetInject(inject); err != nil {
 		return nil, err
 	}
@@ -197,6 +209,30 @@ func buildResilience(failMode string, timeout time.Duration,
 		}
 	}
 	return res, nil
+}
+
+// runOnly names the flags only -exp run reads; sweepOnly the flags
+// only the other experiments read.
+var (
+	runOnly = []string{"workload", "nw", "nb", "interface", "policy", "ib", "sched", "salp",
+		"bank-budget", "check", "trace", "metrics-out", "epoch"}
+	sweepOnly = []string{"quick", "cores", "j", "progress", "fail-mode", "store", "inject", "svg", "beta"}
+)
+
+// checkFlagScope refuses a flag set on the command line that the chosen
+// experiment never reads, so a misplaced flag fails loudly instead of
+// silently doing nothing. set holds the names of the flags given.
+func checkFlagScope(exp string, set map[string]bool) error {
+	refused := runOnly
+	if exp == "run" {
+		refused = sweepOnly
+	}
+	for _, name := range refused {
+		if set[name] {
+			return fmt.Errorf("-%s does not apply to -exp %s", name, exp)
+		}
+	}
+	return nil
 }
 
 // summarizeFailures prints the campaign's failure records to stderr

@@ -197,9 +197,8 @@ type chanState struct {
 
 // Checker validates a traced DRAM command stream against a memory
 // configuration. It implements obs.Tracer; attach it with
-// obs.Observer.AddTracer (alongside the Chrome tracer) or directly via
-// memctrl's AddTracer. A Checker is not safe for concurrent use; give
-// each simulation its own.
+// obs.Observer.AddTracer (alongside the Chrome tracer). A Checker is
+// not safe for concurrent use; give each simulation its own.
 type Checker struct {
 	// MaxViolations bounds the collected slice in ModeCollect; further
 	// violations are still counted in Total. Zero means DefaultMaxViolations.

@@ -195,17 +195,6 @@ func (c *Channel) SetTracer(t obs.Tracer, channel int) {
 	c.chanID = channel
 }
 
-// AddTracer attaches one more tracer, fanning out with any tracer
-// already set (obs.MultiTracer). Adding nil changes nothing.
-func (c *Channel) AddTracer(t obs.Tracer, channel int) {
-	c.tracer = obs.CombineTracers(c.tracer, t)
-	c.chanID = channel
-}
-
-// Tracer returns the currently attached tracer (nil when tracing is
-// off; possibly an obs.MultiTracer after AddTracer).
-func (c *Channel) Tracer() obs.Tracer { return c.tracer }
-
 // OpenBanks returns the number of banks currently holding an open row.
 func (c *Channel) OpenBanks() int {
 	n := 0

@@ -173,9 +173,9 @@ type GridData struct {
 	Workload string
 	Metric   string // "IPC" or "1/EDP"
 	Rel      map[[2]int]float64
-	// Missing marks cells excluded from a degraded reduction (every
-	// contributing run failed under -fail-mode=collect|degrade). Nil on
-	// healthy sweeps.
+	// Missing marks points with no healthy contributor under
+	// -fail-mode=collect: for every benchmark, the run at that point or
+	// its (1,1) base failed. Nil on healthy sweeps.
 	Missing map[[2]int]bool
 }
 
@@ -261,7 +261,7 @@ var runSpec = system.Run
 // result lookup/commit (the campaign's memory, then the store) and
 // fault injection. Failures are logged as report records. Under
 // fail-fast the first failure is returned as a *parallel.TaskError
-// wrapping the cell's error; under collect/degrade the sweep completes
+// wrapping the cell's error; under collect the sweep completes
 // with failed cells marked true in the mask (their Result is the zero
 // value). The mask is nil when no cell failed.
 func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Result, []bool, error) {
@@ -281,15 +281,8 @@ func mapRuns[J any](o Options, jobs []J, build func(J) system.Spec) ([]system.Re
 		r = &Resilience{}
 	}
 	base, sweep := r.beginSweep(total)
-	// Collect is degrade at sweep level: every sweep completes with its
-	// failures logged, and the campaign-level verdict (Resilience.Err)
-	// turns the log into a nonzero exit.
-	mode := parallel.FailDegrade
-	if r.Mode == parallel.FailFast {
-		mode = parallel.FailFast
-	}
 	pol := parallel.Policy{
-		Mode: mode,
+		FailFast: !r.Collect,
 		Digest: func(i int) string {
 			return fmt.Sprintf("sweep %d cell %d/%d: %+v", sweep, i, total, jobs[i])
 		},
@@ -356,9 +349,8 @@ func (j gridJob) String() string { return fmt.Sprintf("%s (%d,%d)", j.name, j.cf
 
 // runGridCells runs one workload over the full partition grid, fanning
 // the 25 independent cells out over the worker pool. Failed cells
-// (resilient sweeps under collect/degrade) are absent from the map and
-// listed in the second return value.
-func runGridCells(name string, o Options) (map[[2]int]cellMetrics, map[[2]int]bool, error) {
+// (resilient sweeps under collect) are absent from the map.
+func runGridCells(name string, o Options) (map[[2]int]cellMetrics, error) {
 	jobs := make([]gridJob, 0, len(Axis)*len(Axis))
 	for _, nB := range Axis {
 		for _, nW := range Axis {
@@ -369,94 +361,64 @@ func runGridCells(name string, o Options) (map[[2]int]cellMetrics, map[[2]int]bo
 		return singleSpec(j.name, config.LPDDRTSI, j.cfg[0], j.cfg[1], nil, o)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cells := make(map[[2]int]cellMetrics, len(jobs))
-	var failedCells map[[2]int]bool
 	for i, j := range jobs {
-		if failed != nil && failed[i] {
-			if failedCells == nil {
-				failedCells = map[[2]int]bool{}
-			}
-			failedCells[j.cfg] = true
-			continue
+		if failed == nil || !failed[i] {
+			cells[j.cfg] = cellMetrics{ipc: results[i].IPC, edpJs: results[i].Breakdown.EDPJs()}
 		}
-		cells[j.cfg] = cellMetrics{ipc: results[i].IPC, edpJs: results[i].Breakdown.EDPJs()}
 	}
-	return cells, failedCells, nil
+	return cells, nil
 }
 
 // gridsFor computes the relative-IPC and relative-1/EDP grids for a
 // workload set, averaging per-benchmark normalized values (the paper's
 // per-app-normalize-then-average convention).
 //
-// Healthy sweeps take the original reduction verbatim, so their grids
-// stay byte-identical to the pre-resilience code. When cells failed
-// under collect/degrade, the reduction degrades: each grid point
-// averages over the benchmarks that measured it (a benchmark whose
-// (1,1) base failed contributes nothing), and points with no healthy
-// contributor are marked Missing.
+// Each grid point averages over the benchmarks that measured it: a
+// benchmark contributes to a point when both its (1,1) base and that
+// point ran healthy, and points with no healthy contributor are marked
+// Missing. On a healthy sweep every benchmark contributes everywhere,
+// so each point divides by len(names) and Missing stays nil.
 func gridsFor(set string, o Options) (ipc, invEDP *GridData, err error) {
 	names := specGroup(set, o.Quick)
 	ipc = &GridData{Workload: set, Metric: "IPC", Rel: map[[2]int]float64{}}
 	invEDP = &GridData{Workload: set, Metric: "1/EDP", Rel: map[[2]int]float64{}}
 	all := make([]map[[2]int]cellMetrics, 0, len(names))
-	degraded := false
+	cnt := map[[2]int]int{}
 	for _, name := range names {
-		cells, failedCells, cerr := runGridCells(name, o)
+		cells, cerr := runGridCells(name, o)
 		if cerr != nil {
 			return nil, nil, cerr
 		}
-		if len(failedCells) > 0 {
-			degraded = true
-		}
 		all = append(all, cells)
-	}
-	if !degraded {
-		for _, cells := range all {
-			base := cells[[2]int{1, 1}]
-			for k, c := range cells {
-				ipc.Rel[k] += c.ipc / base.ipc / float64(len(names))
-				invEDP.Rel[k] += base.edpJs / c.edpJs / float64(len(names))
+		if _, ok := cells[[2]int{1, 1}]; ok {
+			for k := range cells {
+				cnt[k]++
 			}
 		}
-		return ipc, invEDP, nil
 	}
-	ipcSum := map[[2]int]float64{}
-	edpSum := map[[2]int]float64{}
-	cnt := map[[2]int]int{}
 	for _, cells := range all {
 		base, ok := cells[[2]int{1, 1}]
 		if !ok {
 			continue // base failed: nothing to normalize against
 		}
-		for _, b := range Axis {
-			for _, w := range Axis {
-				k := [2]int{w, b}
-				c, ok := cells[k]
-				if !ok {
-					continue
-				}
-				ipcSum[k] += c.ipc / base.ipc
-				edpSum[k] += base.edpJs / c.edpJs
-				cnt[k]++
-			}
+		for k, c := range cells {
+			ipc.Rel[k] += c.ipc / base.ipc / float64(cnt[k])
+			invEDP.Rel[k] += base.edpJs / c.edpJs / float64(cnt[k])
 		}
 	}
 	for _, b := range Axis {
 		for _, w := range Axis {
-			k := [2]int{w, b}
-			if cnt[k] == 0 {
+			if k := [2]int{w, b}; cnt[k] == 0 {
 				if ipc.Missing == nil {
 					ipc.Missing = map[[2]int]bool{}
 					invEDP.Missing = map[[2]int]bool{}
 				}
 				ipc.Missing[k] = true
 				invEDP.Missing[k] = true
-				continue
 			}
-			ipc.Rel[k] = ipcSum[k] / float64(cnt[k])
-			invEDP.Rel[k] = edpSum[k] / float64(cnt[k])
 		}
 	}
 	return ipc, invEDP, nil

@@ -37,7 +37,7 @@ type Report struct {
 	Metrics   map[string]float64 `json:"metrics,omitempty"`
 	Artifacts map[string]string  `json:"artifacts,omitempty"`
 
-	// Failures lists cells that failed under -fail-mode=collect|degrade,
+	// Failures lists cells that failed under -fail-mode=collect,
 	// with enough structure (kind taxonomy, digest, stack, machine
 	// diagnostic) to debug without rerunning. Absent on healthy runs, so
 	// their reports are byte-identical to pre-resilience output.

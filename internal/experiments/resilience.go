@@ -1,14 +1,15 @@
 package experiments
 
 // Sweep resilience: Options.Res configures how mapRuns survives
-// failures — the fail mode of its parallel.MapPolicy executor (which
-// isolates panics per cell), per-run limits (system.Limits), injected
-// faults, a structured failure log that flows into the Report's
-// failures section, and the two-tier result cache. A Resilience is one
-// campaign: its memory tier serves any run spec the campaign already
-// simulated, and the optional content-addressed store extends that
-// across processes, so an interrupted or partially failed campaign
-// resumes by rerunning against the same store. There are no in-process
+// failures — whether its parallel.MapPolicy executor (which isolates
+// panics per cell) stops at the first failure or collects them all,
+// per-run limits (system.Limits), injected faults, a structured failure
+// log that flows into the Report's failures section, and the two-tier
+// result cache. A Resilience is one campaign: its memory tier serves
+// any run spec the campaign already simulated, and the optional
+// content-addressed store extends that across processes, so an
+// interrupted or partially failed campaign resumes by rerunning against
+// the same store. There are no in-process
 // retries: cells are deterministic, and a rerun against the store
 // re-simulates exactly the cells that failed. Cached cells are keyed
 // by what they simulate — the run spec's digest, which folds in
@@ -57,11 +58,12 @@ const injectCheckEvents = 256
 // fresh zero value per top-level call: fail-fast, no store, no limits
 // beyond the campaign context, no injection.
 type Resilience struct {
-	// Mode decides what a failed cell does to the campaign: FailFast
-	// aborts at the first failure; FailCollect and FailDegrade both run
-	// every cell and report failures in the log (collect additionally
-	// makes Err() non-nil so the CLI exits nonzero).
-	Mode parallel.FailMode
+	// Collect decides what a failed cell does to the campaign: false
+	// (fail-fast) aborts at the first failure; true runs every cell,
+	// reduces the partial results where the experiment can, records the
+	// failures in the log and makes Err() non-nil so the CLI exits
+	// nonzero.
+	Collect bool
 	// Timeout and EventBudget bound every run of the campaign
 	// (system.Limits.WallClock / EventBudget).
 	Timeout     time.Duration
@@ -219,14 +221,13 @@ func (r *Resilience) remember(key string, payload []byte) {
 }
 
 // Err returns the campaign-level verdict once every sweep has run:
-// non-nil in collect mode when failures were recorded. Degrade mode
-// returns nil — partial results are the contract — and fail-fast
+// non-nil in collect mode when failures were recorded. Fail-fast
 // campaigns never reach this point with failures.
 func (r *Resilience) Err() error {
 	if r.Log == nil {
 		return nil
 	}
-	if n := r.Log.Len(); n > 0 && r.Mode == parallel.FailCollect {
+	if n := r.Log.Len(); n > 0 && r.Collect {
 		return fmt.Errorf("sweep: %d cell(s) failed (failure records in the report)", n)
 	}
 	return nil
@@ -324,7 +325,7 @@ func failureRecord(sweep int, te *parallel.TaskError) ReportFailure {
 }
 
 // partialUnsupported is the error an experiment returns when cells
-// failed under collect/degrade but its reduction has no degraded form.
+// failed under collect but its reduction has no degraded form.
 func partialUnsupported(exp string, failed []bool) error {
 	n := 0
 	for _, f := range failed {
@@ -335,5 +336,5 @@ func partialUnsupported(exp string, failed []bool) error {
 	if n == 0 {
 		return nil
 	}
-	return fmt.Errorf("%s: %d cell(s) failed and this experiment's reduction has no degraded form; fix the failures and rerun against the same -store, or rerun with -fail-mode=fail-fast", exp, n)
+	return fmt.Errorf("%s: %d cell(s) failed and this experiment's reduction has no degraded form (failure records in the report); fix the failures and rerun against the same -store", exp, n)
 }

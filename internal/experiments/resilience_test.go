@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -56,7 +58,7 @@ func headlineReport(t *testing.T, o Options) []byte {
 // exercise on the resilient path.
 func TestSweepWidthResilience(t *testing.T) {
 	mk := func(width int) []byte {
-		res := &Resilience{Mode: parallel.FailDegrade}
+		res := &Resilience{Collect: true}
 		if err := res.SetInject("timeout:3"); err != nil {
 			t.Fatal(err)
 		}
@@ -91,10 +93,10 @@ func TestSweepWidthResilience(t *testing.T) {
 
 // TestDegradedSweepAcceptance is the issue's acceptance scenario: a
 // sweep with one injected panicking cell and one deadline-exceeding
-// cell completes under degrade, returns the healthy results, and
+// cell completes under collect, returns the healthy results, and
 // records both failures with their diagnostics.
 func TestDegradedSweepAcceptance(t *testing.T) {
-	res := &Resilience{Mode: parallel.FailDegrade}
+	res := &Resilience{Collect: true}
 	if err := res.SetInject("panic:1,timeout:3"); err != nil {
 		t.Fatal(err)
 	}
@@ -174,17 +176,17 @@ func TestResumeByteIdenticalReport(t *testing.T) {
 // TestGridFailureNamesCell: a failed partition-grid cell's record
 // names the benchmark and the (nW,nB) configuration it ran.
 func TestGridFailureNamesCell(t *testing.T) {
-	res := &Resilience{Mode: parallel.FailDegrade}
+	res := &Resilience{Collect: true}
 	if err := res.SetInject("error:3"); err != nil {
 		t.Fatal(err)
 	}
 	o := Options{Quick: true, Instr: 4000, Parallelism: 2, Res: res}.withDefaults()
-	_, failed, err := runGridCells("429.mcf", o)
+	cells, err := runGridCells("429.mcf", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(failed) != 1 || !failed[[2]int{8, 1}] {
-		t.Fatalf("failed cells = %v, want only (8,1)", failed)
+	if _, ok := cells[[2]int{8, 1}]; ok || len(cells) != len(Axis)*len(Axis)-1 {
+		t.Fatalf("healthy cells = %v, want all but (8,1)", cells)
 	}
 	fails := res.Log.Failures()
 	if len(fails) != 1 || !strings.Contains(fails[0].Digest, "429.mcf (8,1)") {
@@ -192,11 +194,69 @@ func TestGridFailureNamesCell(t *testing.T) {
 	}
 }
 
+// TestDegradedFig8AveragesHealthyBenchmarks: a degraded spec-high
+// panel averages each point over the benchmarks that measured it. Cell
+// 56 (470.lbm at (2,2)) and cell 75 (462.libquantum's (1,1) base) fail:
+// libquantum then contributes nowhere, (2,2) is 429.mcf alone, every
+// other point is the mean of 429.mcf and 470.lbm, and the panels that
+// lost nothing are bitwise the healthy ones.
+func TestDegradedFig8AveragesHealthyBenchmarks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick Fig. 8 sweep twice")
+	}
+	o := Options{Quick: true, Instr: 4000, Parallelism: 2}
+	healthy, err := Fig8(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Resilience{Collect: true}
+	if err := r.SetInject("error:56,error:75"); err != nil {
+		t.Fatal(err)
+	}
+	o.Res = r
+	got, err := Fig8(o)
+	if err != nil {
+		t.Fatalf("degraded Fig8: %v", err)
+	}
+	fails := r.Log.Failures()
+	if len(fails) != 2 || fails[0].Sweep != 2 || fails[0].Cell != 6 || fails[1].Sweep != 3 || fails[1].Cell != 0 {
+		t.Fatalf("failures = %+v, want sweep 2 cell 6 and sweep 3 cell 0", fails)
+	}
+	for _, i := range []int{0, 2} {
+		if !reflect.DeepEqual(got[i], healthy[i]) {
+			t.Fatalf("%s panel lost no cell but differs from the healthy sweep:\ngot  %v\nwant %v",
+				Fig8Workloads[i], got[i], healthy[i])
+		}
+	}
+	lbm, err := runGridCells("470.lbm", Options{Quick: true, Instr: 4000, Parallelism: 2}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcf, high := healthy[0].Rel, got[1]
+	if high.Missing != nil {
+		t.Fatalf("spec-high marks %v missing; every point kept a contributor", high.Missing)
+	}
+	base := lbm[[2]int{1, 1}].ipc
+	for k, v := range high.Rel {
+		want := mcf[k]
+		if k != [2]int{2, 2} {
+			want = (mcf[k] + lbm[k].ipc/base) / 2
+		}
+		if math.Abs(v-want) > 1e-12*math.Abs(want) {
+			t.Fatalf("spec-high %v = %v, want %v", k, v, want)
+		}
+	}
+	if len(high.Rel) != len(Axis)*len(Axis) || high.Rel[[2]int{2, 2}] != mcf[[2]int{2, 2}] {
+		t.Fatalf("spec-high (2,2) = %v over %d points, want 429.mcf's %v over all 25",
+			high.Rel[[2]int{2, 2}], len(high.Rel), mcf[[2]int{2, 2}])
+	}
+}
+
 // TestProtocolViolationIsolated runs a sweep where one cell panics with
 // the sanitizer's fatal-mode violation: siblings must complete and the
 // failure must be classified as a protocol violation.
 func TestProtocolViolationIsolated(t *testing.T) {
-	res := &Resilience{Mode: parallel.FailDegrade}
+	res := &Resilience{Collect: true}
 	o := resOpts(res)
 	jobs := []int{0, 1, 2, 3}
 	results, failed, err := mapRuns(o, jobs, func(j int) system.Spec {
@@ -226,10 +286,11 @@ func TestProtocolViolationIsolated(t *testing.T) {
 	}
 }
 
-// TestCollectModeFailsCampaign: collect runs everything like degrade
-// but the campaign-level verdict is an error.
+// TestCollectModeFailsCampaign: collect runs everything and reduces
+// the partial results, but the campaign-level verdict is an error; a
+// collect campaign without failures has none.
 func TestCollectModeFailsCampaign(t *testing.T) {
-	res := &Resilience{Mode: parallel.FailCollect}
+	res := &Resilience{Collect: true}
 	if err := res.SetInject("error:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -240,15 +301,12 @@ func TestCollectModeFailsCampaign(t *testing.T) {
 	if err := res.Err(); err == nil || !strings.Contains(err.Error(), "1 cell(s) failed") {
 		t.Fatalf("campaign verdict = %v, want collect-mode failure", err)
 	}
-	res2 := &Resilience{Mode: parallel.FailDegrade}
-	if err := res2.SetInject("error:0"); err != nil {
-		t.Fatal(err)
-	}
+	res2 := &Resilience{Collect: true}
 	if _, err := Headline(resOpts(res2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := res2.Err(); err != nil {
-		t.Fatalf("degrade-mode verdict = %v, want nil", err)
+		t.Fatalf("healthy collect-mode verdict = %v, want nil", err)
 	}
 }
 
@@ -273,7 +331,7 @@ func TestSetInjectErrors(t *testing.T) {
 // generous limits) must not change a healthy campaign's results.
 func TestResilientHealthySweepByteIdentical(t *testing.T) {
 	plain := headlineReport(t, resOpts(nil))
-	res := &Resilience{Mode: parallel.FailDegrade,
+	res := &Resilience{Collect: true,
 		Timeout: time.Hour, EventBudget: 1 << 40}
 	armed := headlineReport(t, resOpts(res))
 	// The reports echo identical options either way; only the failures

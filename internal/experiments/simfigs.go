@@ -617,18 +617,10 @@ func Headline(o Options) (HeadlineResult, error) {
 	if err != nil {
 		return out, err
 	}
-	if failed == nil {
-		for i := range names {
-			base, ub := results[2*i], results[2*i+1]
-			n := float64(len(names))
-			out.IPCGain += ub.IPC / base.IPC / n
-			out.InvEDPGain += base.Breakdown.EDPJs() / ub.Breakdown.EDPJs() / n
-		}
-		return out, nil
-	}
-	// Degraded reduction: a pair with either run failed contributes
-	// nothing; the gains average over the healthy pairs.
-	pairOK := func(i int) bool { return !failed[2*i] && !failed[2*i+1] }
+	// A pair with either run failed contributes nothing; the gains
+	// average over the healthy pairs, which on a healthy sweep are all
+	// of them.
+	pairOK := func(i int) bool { return failed == nil || !failed[2*i] && !failed[2*i+1] }
 	healthy := 0
 	for i := range names {
 		if pairOK(i) {

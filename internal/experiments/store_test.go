@@ -16,12 +16,11 @@ import (
 
 	"microbank/internal/check/golden"
 	"microbank/internal/config"
-	"microbank/internal/parallel"
 	"microbank/internal/store"
 	"microbank/internal/system"
 )
 
-// storeRes builds a degrade-mode Resilience checkpointing into a store
+// storeRes builds a collect-mode Resilience checkpointing into a store
 // at dir, collecting degrade warnings instead of printing them.
 func storeRes(t *testing.T, dir string, fsys store.FS, warns *[]string) *Resilience {
 	t.Helper()
@@ -29,7 +28,7 @@ func storeRes(t *testing.T, dir string, fsys store.FS, warns *[]string) *Resilie
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
-	r := &Resilience{Mode: parallel.FailDegrade, Store: s}
+	r := &Resilience{Collect: true, Store: s}
 	if warns != nil {
 		r.OnDegrade = func(msg string) { *warns = append(*warns, msg) }
 	}
@@ -41,7 +40,7 @@ func storeRes(t *testing.T, dir string, fsys store.FS, warns *[]string) *Resilie
 // one, and a second campaign over the same store simulates nothing —
 // every cell replays from disk.
 func TestStoreSweepByteIdenticalAndShared(t *testing.T) {
-	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
+	plain := headlineReport(t, resOpts(&Resilience{Collect: true}))
 
 	dir := t.TempDir()
 	r1 := storeRes(t, dir, nil, nil)
@@ -72,7 +71,7 @@ func TestStoreSweepByteIdenticalAndShared(t *testing.T) {
 // still produce a byte-identical report — degrade, never a crash or a
 // silently wrong result.
 func TestStoreCorruptEntryResimulated(t *testing.T) {
-	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
+	plain := headlineReport(t, resOpts(&Resilience{Collect: true}))
 	dir := t.TempDir()
 	headlineReport(t, resOpts(storeRes(t, dir, nil, nil)))
 
@@ -139,7 +138,7 @@ func headlineSpecs() []system.Spec {
 // drifted payload would silently zero or drop data — so every cell is
 // re-simulated and rewritten, and the report stays byte-identical.
 func TestStoreServesOnlyCurrentEntries(t *testing.T) {
-	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
+	plain := headlineReport(t, resOpts(&Resilience{Collect: true}))
 	ref := storeRes(t, t.TempDir(), nil, nil)
 	headlineReport(t, resOpts(ref))
 	specs := headlineSpecs()
@@ -241,7 +240,7 @@ func TestStoreSharedAcrossExperiments(t *testing.T) {
 // disables store commits with a single warning while the campaign's
 // results stay byte-identical and no healthy cell is failed.
 func TestStoreWriteFailureDegrades(t *testing.T) {
-	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
+	plain := headlineReport(t, resOpts(&Resilience{Collect: true}))
 	for _, tc := range []struct {
 		name string
 		skip int // staged writes that succeed before ENOSPC

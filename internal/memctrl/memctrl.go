@@ -279,16 +279,9 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 
 // SetTracer threads a DRAM command tracer through to the channel;
 // events are labelled with the given channel index. It replaces any
-// tracer already attached; use AddTracer to fan out instead.
+// tracer already attached; fan out with obs.CombineTracers.
 func (c *Controller) SetTracer(t obs.Tracer, channel int) {
 	c.ch.SetTracer(t, channel)
-}
-
-// AddTracer attaches one more DRAM command tracer alongside any tracer
-// already threaded through (obs.MultiTracer fan-out), so Chrome tracing
-// and the protocol checker can observe the same run.
-func (c *Controller) AddTracer(t obs.Tracer, channel int) {
-	c.ch.AddTracer(t, channel)
 }
 
 // BankOccupancy summarizes how queued requests spread over banks:

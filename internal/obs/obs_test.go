@@ -19,18 +19,14 @@ func TestLabelFormatting(t *testing.T) {
 
 func TestRegistryKindsAndOrder(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a.count", L("ch", 1))
 	r.GaugeFunc("b.gauge", func() float64 { return 2.5 })
-	h := r.Histogram("c.hist")
-	c.Add(7)
-	h.Observe(4)
-	h.Observe(8)
+	r.GaugeFunc("a.gauge", func() float64 { return 7 }, L("ch", 1))
+	r.GaugeFunc("c.gauge", func() float64 { return -1 }, L("ch", 0), L("bank", 3))
 
 	names := r.SeriesNames()
-	want := []string{"a.count{ch=1}", "b.gauge",
-		"c.hist.count", "c.hist.mean", "c.hist.p50", "c.hist.p99", "c.hist.max"}
-	if len(names) != len(want) {
-		t.Fatalf("series = %v", names)
+	want := []string{"b.gauge", "a.gauge{ch=1}", "c.gauge{ch=0,bank=3}"}
+	if len(names) != len(want) || r.NumMetrics() != len(want) {
+		t.Fatalf("series = %v (%d metrics)", names, r.NumMetrics())
 	}
 	for i := range want {
 		if names[i] != want[i] {
@@ -41,18 +37,10 @@ func TestRegistryKindsAndOrder(t *testing.T) {
 	if len(samples) != len(want) {
 		t.Fatalf("gathered %d samples, want %d", len(samples), len(want))
 	}
-	if samples[0].Value != 7 || samples[1].Value != 2.5 {
-		t.Fatalf("counter/gauge values = %v / %v", samples[0].Value, samples[1].Value)
-	}
-	if samples[2].Value != 2 || samples[3].Value != 6 {
-		t.Fatalf("hist count/mean = %v / %v", samples[2].Value, samples[3].Value)
-	}
-	// Re-registration returns the same instance.
-	if r.Counter("a.count", L("ch", 1)) != c {
-		t.Fatal("counter re-registration returned a new instance")
-	}
-	if r.Histogram("c.hist") != h {
-		t.Fatal("histogram re-registration returned a new instance")
+	for i, v := range []float64{2.5, 7, -1} {
+		if samples[i].Name != want[i] || samples[i].Value != v {
+			t.Fatalf("sample %d = %+v, want %s = %v", i, samples[i], want[i], v)
+		}
 	}
 }
 
@@ -65,17 +53,6 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r.GaugeFunc("dup", func() float64 { return 1 })
-}
-
-func TestRegistryKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind mismatch did not panic")
-		}
-	}()
-	r.Histogram("m")
 }
 
 // TestSamplerRecordsEpochsAndTerminates drives a model that stays busy

@@ -1,6 +1,7 @@
 // Package parallel provides the bounded worker pool the experiment
 // layer fans independent simulations out with: MapPolicy, which runs
-// every item under a recover and reacts to failures by a FailMode.
+// every item under a recover and either stops at the first failure
+// or runs on past it.
 // Results are assembled in input order, so a parallel sweep produces
 // output byte-identical to the serial loop it replaces; each
 // simulation takes an explicit seed, so runs stay reproducible under

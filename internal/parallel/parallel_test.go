@@ -26,7 +26,7 @@ func TestWidthClamping(t *testing.T) {
 
 // failFast is the policy a sweep runs under when no resilience is
 // asked for; the TestMap* tests pin MapPolicy's behaviour in it.
-var failFast = Policy{Mode: FailFast}
+var failFast = Policy{FailFast: true}
 
 func TestMapOrderedResults(t *testing.T) {
 	items := make([]int, 100)
@@ -72,11 +72,11 @@ func TestMapBoundsConcurrency(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	for _, mode := range []FailMode{FailFast, FailCollect, FailDegrade} {
-		got, fails, err := MapPolicy(context.Background(), 8, nil, Policy{Mode: mode},
+	for _, ff := range []bool{true, false} {
+		got, fails, err := MapPolicy(context.Background(), 8, nil, Policy{FailFast: ff},
 			func(context.Context, int) (int, error) { return 0, nil })
 		if err != nil || fails != nil || len(got) != 0 {
-			t.Fatalf("%v: empty map: %v %v %v", mode, got, fails, err)
+			t.Fatalf("FailFast=%v: empty map: %v %v %v", ff, got, fails, err)
 		}
 	}
 }
@@ -172,16 +172,16 @@ func TestMapContextCancellation(t *testing.T) {
 func TestMapPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []FailMode{FailFast, FailCollect, FailDegrade} {
+	for _, ff := range []bool{true, false} {
 		for _, width := range []int{1, 4} {
 			var ran atomic.Int64
-			_, _, err := MapPolicy(ctx, width, []int{1, 2, 3}, Policy{Mode: mode},
+			_, _, err := MapPolicy(ctx, width, []int{1, 2, 3}, Policy{FailFast: ff},
 				func(context.Context, int) (int, error) { ran.Add(1); return 0, nil })
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%v width %d: err = %v, want context.Canceled", mode, width, err)
+				t.Fatalf("FailFast=%v width %d: err = %v, want context.Canceled", ff, width, err)
 			}
 			if n := ran.Load(); n != 0 {
-				t.Fatalf("%v width %d: %d item(s) ran under a cancelled context", mode, width, n)
+				t.Fatalf("FailFast=%v width %d: %d item(s) ran under a cancelled context", ff, width, n)
 			}
 		}
 	}

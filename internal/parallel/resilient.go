@@ -1,10 +1,10 @@
 package parallel
 
 // Resilient sweep execution: MapPolicy runs every item under a
-// recover and applies a configurable failure mode, so a multi-hour
-// campaign survives one pathological cell instead of tearing down
-// atomically. Failures come back as structured TaskErrors (item index,
-// config digest, elapsed time, panic stack) that the experiment layer
+// recover and either stops at the first failure or runs on past it, so
+// a multi-hour campaign survives one pathological cell instead of
+// tearing down atomically. Failures come back as structured TaskErrors
+// (item index, config digest, panic stack) that the experiment layer
 // turns into report entries and metrics. Nothing is retried in
 // process: the simulations are deterministic, so a failed item fails
 // the same way again.
@@ -16,62 +16,15 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// FailMode selects how a resilient sweep reacts to a failed work item.
-type FailMode int
-
-const (
-	// FailFast cancels the sweep at the first failure and returns the
-	// lowest-index failure, the one a serial loop would have hit first.
-	FailFast FailMode = iota
-	// FailCollect runs every item to completion and reports all
-	// failures together as one *SweepError; healthy results are still
-	// returned.
-	FailCollect
-	// FailDegrade runs every item and returns the healthy results with
-	// the failures listed separately; the sweep itself succeeds, so
-	// callers can produce a partial grid with failed cells marked.
-	FailDegrade
-)
-
-// String names the mode as accepted by the CLI -fail-mode flag.
-func (m FailMode) String() string {
-	switch m {
-	case FailFast:
-		return "fail-fast"
-	case FailCollect:
-		return "collect"
-	case FailDegrade:
-		return "degrade"
-	default:
-		return fmt.Sprintf("FailMode(%d)", int(m))
-	}
-}
-
-// ParseFailMode maps a CLI flag value onto a FailMode.
-func ParseFailMode(s string) (FailMode, error) {
-	switch s {
-	case "fail-fast":
-		return FailFast, nil
-	case "collect":
-		return FailCollect, nil
-	case "degrade":
-		return FailDegrade, nil
-	default:
-		return FailFast, fmt.Errorf("unknown fail mode %q (fail-fast | collect | degrade)", s)
-	}
-}
-
-// TaskError describes one failed work item: which item, how it failed
-// (error or recovered panic), and how long the item ran. Digest carries the caller's description
-// of the item's configuration so a failure in a multi-hour sweep names
-// its cell without cross-referencing the job list.
+// TaskError describes one failed work item: which item and how it
+// failed (error or recovered panic). Digest carries the caller's
+// description of the item's configuration so a failure in a multi-hour
+// sweep names its cell without cross-referencing the job list.
 type TaskError struct {
 	Index    int
 	Digest   string
-	Elapsed  time.Duration
 	Panicked bool
 	// Stack is the raw panic stack (debug.Stack); empty unless
 	// Panicked. CleanStack strips its nondeterministic
@@ -136,38 +89,13 @@ func CleanStack(s string) string {
 	return strings.Join(out, "\n")
 }
 
-// SweepError aggregates every failure of a FailCollect sweep.
-type SweepError struct {
-	Total    int // items in the sweep
-	Failures []*TaskError
-}
-
-// Error summarizes the failures, spelling out the first few.
-func (e *SweepError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d of %d tasks failed", len(e.Failures), e.Total)
-	for i, f := range e.Failures {
-		if i == 3 {
-			fmt.Fprintf(&b, "; and %d more", len(e.Failures)-3)
-			break
-		}
-		fmt.Fprintf(&b, "; %v", f)
-	}
-	return b.String()
-}
-
-// Unwrap exposes the lowest-index failure, so errors.Is/As see the
-// same error a FailFast sweep would have returned.
-func (e *SweepError) Unwrap() error {
-	if len(e.Failures) == 0 {
-		return nil
-	}
-	return e.Failures[0]
-}
-
 // Policy configures MapPolicy.
 type Policy struct {
-	Mode FailMode
+	// FailFast cancels the sweep at the first failure and returns the
+	// lowest-index failure, the one a serial loop would have hit
+	// first. When false, every item runs and the healthy results come
+	// back with the failures listed separately.
+	FailFast bool
 	// Digest, when non-nil, labels item i in failures — conventionally
 	// a human-readable config digest of the sweep cell.
 	Digest func(i int) string
@@ -178,17 +106,15 @@ type Policy struct {
 // Every item runs under a recover, so a panicking cell becomes a
 // *TaskError (Panicked, with its stack) instead of tearing down the
 // process, even when the panic races a sibling's failure or the
-// caller's cancellation. The failure mode decides whether one bad cell cancels
-// the sweep (FailFast: no new item starts after the first failure),
-// fails it after running everything (FailCollect), or degrades it to a
-// partial result set (FailDegrade).
+// caller's cancellation. Under FailFast one bad cell cancels the sweep
+// (no new item starts after the first failure); otherwise the sweep
+// runs every item and returns a partial result set.
 //
 // Results are assembled in input order and healthy cells are
 // byte-identical to a serial run at any width. Failures are returned
 // sorted by item index; failed cells hold the zero R. The returned
-// error is the lowest-index *TaskError (FailFast), a *SweepError
-// (FailCollect with failures), the context's error if the sweep was
-// interrupted, or nil (FailDegrade, or no failures).
+// error is the lowest-index *TaskError (FailFast), the context's error
+// if the sweep was interrupted, or nil.
 func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 	f func(context.Context, T) (R, error)) ([]R, []*TaskError, error) {
 	if ctx == nil {
@@ -205,7 +131,7 @@ func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 	}
 	wctx := ctx
 	cancel := func() {}
-	if pol.Mode == FailFast {
+	if pol.FailFast {
 		wctx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
@@ -220,18 +146,17 @@ func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 		mu.Lock()
 		failures = append(failures, te)
 		mu.Unlock()
-		if pol.Mode == FailFast {
+		if pol.FailFast {
 			cancel()
 		}
 	}
 	runItem := func(i int) {
-		start := time.Now()
 		r, err, pv, stack, panicked := guard(wctx, items[i], f)
 		if !panicked && err == nil {
 			results[i] = r
 			return
 		}
-		te := &TaskError{Index: i, Elapsed: time.Since(start), Panicked: panicked, Err: err}
+		te := &TaskError{Index: i, Panicked: panicked, Err: err}
 		if pol.Digest != nil {
 			te.Digest = pol.Digest(i)
 		}
@@ -255,7 +180,7 @@ func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 					return
 				}
 				runItem(i)
-				if pol.Mode == FailFast && wctx.Err() != nil {
+				if pol.FailFast && wctx.Err() != nil {
 					return
 				}
 			}
@@ -264,7 +189,7 @@ func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 	wg.Wait()
 	sort.Slice(failures, func(a, b int) bool { return failures[a].Index < failures[b].Index })
 
-	if pol.Mode == FailFast {
+	if pol.FailFast {
 		if len(failures) > 0 {
 			return nil, failures, failures[0]
 		}
@@ -273,17 +198,10 @@ func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 		}
 		return results, nil, nil
 	}
-	// Collect / degrade: an interrupted sweep is a campaign-level
-	// failure regardless of mode — the caller must not mistake the
-	// partial results for a degraded-but-complete grid.
+	// An interrupted sweep is a campaign-level failure: the caller must
+	// not mistake the partial results for a degraded-but-complete grid.
 	if err := ctx.Err(); err != nil {
 		return nil, failures, err
-	}
-	if len(failures) == 0 {
-		return results, nil, nil
-	}
-	if pol.Mode == FailCollect {
-		return results, failures, &SweepError{Total: n, Failures: failures}
 	}
 	return results, failures, nil
 }

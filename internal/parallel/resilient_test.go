@@ -123,32 +123,14 @@ func TestMapSerialPathPanics(t *testing.T) {
 	}
 }
 
-func TestParseFailMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want FailMode
-	}{{"fail-fast", FailFast}, {"collect", FailCollect}, {"degrade", FailDegrade}} {
-		got, err := ParseFailMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseFailMode(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("FailMode round-trip: %q -> %q", tc.in, got.String())
-		}
-	}
-	if _, err := ParseFailMode("explode"); err == nil {
-		t.Fatal("ParseFailMode accepted garbage")
-	}
-}
-
-// TestMapPolicyDegrade: a panicking cell and an erroring cell in
-// degrade mode leave the sweep healthy — full-length results with the
+// TestMapPolicyDegrade: a panicking cell and an erroring cell in a
+// sweep that is not fail-fast leave the sweep healthy — full-length results with the
 // failed cells zeroed, failures reported structurally, nil error.
 func TestMapPolicyDegrade(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5}
 	for _, width := range []int{1, 3} {
 		res, fails, err := MapPolicy(context.Background(), width, items,
-			Policy{Mode: FailDegrade, Digest: func(i int) string { return fmt.Sprintf("cell%d", i) }},
+			Policy{Digest: func(i int) string { return fmt.Sprintf("cell%d", i) }},
 			func(_ context.Context, v int) (int, error) {
 				switch v {
 				case 2:
@@ -159,7 +141,7 @@ func TestMapPolicyDegrade(t *testing.T) {
 				return v * 10, nil
 			})
 		if err != nil {
-			t.Fatalf("width %d: degrade sweep errored: %v", width, err)
+			t.Fatalf("width %d: sweep errored: %v", width, err)
 		}
 		want := []int{0, 10, 0, 30, 0, 50}
 		for i := range want {
@@ -179,13 +161,13 @@ func TestMapPolicyDegrade(t *testing.T) {
 	}
 }
 
-// TestMapPolicyCollect: everything runs, all failures aggregate into
-// one SweepError whose Unwrap chain reaches the lowest-index failure.
+// TestMapPolicyCollect: a sweep that is not fail-fast runs every item
+// and hands back every failure, lowest index first, with a nil error;
+// the caller decides what the failures mean for the campaign.
 func TestMapPolicyCollect(t *testing.T) {
 	var ran atomic.Int64
 	boom := errors.New("boom")
-	_, fails, err := MapPolicy(context.Background(), 4, make([]int, 20),
-		Policy{Mode: FailCollect},
+	_, fails, err := MapPolicy(context.Background(), 4, make([]int, 20), Policy{},
 		func(_ context.Context, _ int) (int, error) {
 			if n := ran.Add(1); n%5 == 0 {
 				return 0, boom
@@ -193,17 +175,15 @@ func TestMapPolicyCollect(t *testing.T) {
 			return 1, nil
 		})
 	if ran.Load() != 20 {
-		t.Fatalf("collect mode ran only %d/20 items", ran.Load())
+		t.Fatalf("collect sweep ran only %d/20 items", ran.Load())
 	}
-	var se *SweepError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *SweepError", err)
+	if err != nil || len(fails) != 4 {
+		t.Fatalf("err = %v, %d failure(s); want nil and 4", err, len(fails))
 	}
-	if len(se.Failures) != len(fails) || se.Total != 20 {
-		t.Fatalf("SweepError = %+v vs fails %d", se, len(fails))
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("SweepError does not unwrap to the underlying failure: %v", err)
+	for i, f := range fails {
+		if !errors.Is(f, boom) || (i > 0 && fails[i-1].Index >= f.Index) {
+			t.Fatalf("failures not the unwrapped, index-sorted set: %v", fails)
+		}
 	}
 }
 
@@ -212,7 +192,7 @@ func TestMapPolicyCollect(t *testing.T) {
 func TestMapPolicyFailFast(t *testing.T) {
 	var started atomic.Int64
 	_, fails, err := MapPolicy(context.Background(), 2, make([]int, 1000),
-		Policy{Mode: FailFast},
+		failFast,
 		func(_ context.Context, _ int) (int, error) {
 			if started.Add(1) == 1 {
 				panic("first cell explodes")
@@ -234,12 +214,12 @@ func TestMapPolicyFailFast(t *testing.T) {
 
 // TestMapPolicyPanicsNeverRetried: the simulator is deterministic, so
 // a failed cell fails identically on every attempt; MapPolicy runs
-// every item exactly once, failing or not, in every mode. Rerunning a
-// campaign against its result store is the retry.
+// every item exactly once, failing or not, fail-fast or not. Rerunning
+// a campaign against its result store is the retry.
 func TestMapPolicyPanicsNeverRetried(t *testing.T) {
-	for _, mode := range []FailMode{FailFast, FailCollect, FailDegrade} {
+	for _, ff := range []bool{true, false} {
 		var runs [3]atomic.Int64
-		_, fails, _ := MapPolicy(context.Background(), 1, []int{0, 1, 2}, Policy{Mode: mode},
+		_, fails, _ := MapPolicy(context.Background(), 1, []int{0, 1, 2}, Policy{FailFast: ff},
 			func(_ context.Context, v int) (int, error) {
 				runs[v].Add(1)
 				switch v {
@@ -251,42 +231,39 @@ func TestMapPolicyPanicsNeverRetried(t *testing.T) {
 				return v, nil
 			})
 		want := [3]int64{1, 1, 1}
-		if mode == FailFast {
+		if ff {
 			want = [3]int64{1, 0, 0} // nothing starts after the first failure
 		}
 		for i := range runs {
 			if got := runs[i].Load(); got != want[i] {
-				t.Fatalf("%v: item %d ran %d times, want %d", mode, i, got, want[i])
+				t.Fatalf("FailFast=%v: item %d ran %d times, want %d", ff, i, got, want[i])
 			}
 		}
 		if len(fails) == 0 || !fails[0].Panicked {
-			t.Fatalf("%v: fails = %+v", mode, fails)
+			t.Fatalf("FailFast=%v: fails = %+v", ff, fails)
 		}
 	}
 }
 
 // TestMapPolicyParentCancellation: caller-level cancellation is an
-// interruption, not a degraded completion — even degrade mode must
-// return the context error so partial results aren't mistaken for a
-// finished grid.
+// interruption, not a degraded completion — a sweep that runs past
+// failures must still return the context error so partial results
+// aren't mistaken for a finished grid.
 func TestMapPolicyParentCancellation(t *testing.T) {
-	for _, mode := range []FailMode{FailCollect, FailDegrade} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int64
-		res, _, err := MapPolicy(ctx, 2, make([]int, 1000),
-			Policy{Mode: mode},
-			func(context.Context, int) (int, error) {
-				if started.Add(1) == 3 {
-					cancel()
-				}
-				return 0, nil
-			})
-		if !errors.Is(err, context.Canceled) || res != nil {
-			t.Fatalf("%v: res=%v err = %v, want context.Canceled and no results", mode, res != nil, err)
-		}
-		if n := started.Load(); n == 1000 {
-			t.Fatalf("%v: cancellation did not stop new work", mode)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	var started atomic.Int64
+	res, _, err := MapPolicy(ctx, 2, make([]int, 1000), Policy{},
+		func(context.Context, int) (int, error) {
+			if started.Add(1) == 3 {
+				cancel()
+			}
+			return 0, nil
+		})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("res=%v err = %v, want context.Canceled and no results", res != nil, err)
+	}
+	if n := started.Load(); n == 1000 {
+		t.Fatal("cancellation did not stop new work")
 	}
 }
 
@@ -306,8 +283,7 @@ func TestTaskErrorRendering(t *testing.T) {
 // offsets are the only parts that differ run to run.
 func TestCleanStackDeterministic(t *testing.T) {
 	grab := func() string {
-		_, fails, _ := MapPolicy(context.Background(), 2, []int{0, 1},
-			Policy{Mode: FailDegrade},
+		_, fails, _ := MapPolicy(context.Background(), 2, []int{0, 1}, Policy{},
 			func(_ context.Context, v int) (int, error) {
 				if v == 1 {
 					panic("same path")

@@ -121,23 +121,3 @@ func TestTableEmpty(t *testing.T) {
 	tb := NewTable("")
 	_ = tb.String() // must not panic
 }
-
-// TestSetSortedOrder pins the documented iteration order: sorted by
-// name, independent of insertion order.
-func TestSetSortedOrder(t *testing.T) {
-	s := NewSet()
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		s.Counter(n).Inc()
-	}
-	names := s.Names()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", names, want)
-		}
-	}
-	out := s.String()
-	if strings.Index(out, "alpha") > strings.Index(out, "zeta") {
-		t.Fatalf("String() not in sorted order:\n%s", out)
-	}
-}

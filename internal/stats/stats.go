@@ -1,32 +1,13 @@
 // Package stats provides the lightweight instrumentation primitives
-// used throughout the simulator: named counters, ratio helpers,
-// latency histograms, and fixed-width table rendering for the
-// experiment harnesses.
+// used throughout the simulator: ratio helpers, latency histograms,
+// and fixed-width table rendering for the experiment harnesses.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Ratio returns a/b, or 0 when b is zero.
 func Ratio(a, b uint64) float64 {
@@ -198,54 +179,6 @@ func FairnessIndex(hists []Histogram) float64 {
 		return 1 // every mean is zero: identical service
 	}
 	return sum * sum / (float64(n) * sumSq)
-}
-
-// Set is a string-keyed collection of counters used for per-run
-// summaries. Iteration (Names, String) is in sorted name order,
-// independent of insertion order.
-type Set struct {
-	names []string
-	vals  map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{vals: map[string]*Counter{}}
-}
-
-// Counter returns (creating if needed) the named counter.
-func (s *Set) Counter(name string) *Counter {
-	if c, ok := s.vals[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	s.vals[name] = c
-	s.names = append(s.names, name)
-	return c
-}
-
-// Get returns the value of the named counter (0 if absent).
-func (s *Set) Get(name string) uint64 {
-	if c, ok := s.vals[name]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
-// Names returns the counter names in sorted order.
-func (s *Set) Names() []string {
-	out := append([]string(nil), s.names...)
-	sort.Strings(out)
-	return out
-}
-
-// String renders the set one counter per line.
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, n := range s.Names() {
-		fmt.Fprintf(&b, "%-32s %12d\n", n, s.vals[n].Value())
-	}
-	return b.String()
 }
 
 // Table renders experiment output as a fixed-width text table matching

@@ -7,19 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("Reset left %d", c.Value())
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(1, 2) != 0.5 {
 		t.Error("Ratio(1,2) != 0.5")
@@ -115,27 +102,6 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Counter("reads").Add(3)
-	s.Counter("writes").Inc()
-	s.Counter("reads").Inc()
-	if s.Get("reads") != 4 || s.Get("writes") != 1 {
-		t.Fatalf("set values wrong: %v", s)
-	}
-	if s.Get("absent") != 0 {
-		t.Fatal("absent counter nonzero")
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "reads" || names[1] != "writes" {
-		t.Fatalf("Names = %v", names)
-	}
-	out := s.String()
-	if !strings.Contains(out, "reads") || !strings.Contains(out, "4") {
-		t.Fatalf("String() = %q", out)
 	}
 }
 
