@@ -29,9 +29,11 @@ race:
 # schedule/step/cancel paths, the controller's eval path (enqueue,
 # batch formation, selection, issue, retirement — with and without an
 # attached obs tracer), the cache's hit/miss/fill path or the
-# directory's fill/evict churn allocate in steady state.
+# directory's fill/evict churn allocate in steady state, or if a
+# repeated single-core run fails to reuse the tag arrays and directory
+# tables the run before it released.
 alloc-guard:
-	$(GO) test -run 'ZeroAllocGuard' -count=1 ./internal/sim/ ./internal/memctrl/ ./internal/cache/
+	$(GO) test -run 'AllocGuard' -count=1 ./internal/sim/ ./internal/memctrl/ ./internal/cache/ ./internal/system/
 
 # Benchmark smoke: every trajectory benchmark (engine, controller
 # best/eval/formBatch, headline run, sweeps) runs once. It prints

@@ -72,7 +72,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := checkFlagScope(*exp, set); err != nil {
 		fmt.Fprintln(os.Stderr, "microbank:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	o := experiments.Options{Instr: *instr, Cores: *cores, Quick: *quick, Seed: *seed,
@@ -211,25 +211,37 @@ func buildResilience(failMode string, timeout time.Duration,
 	return res, nil
 }
 
-// runOnly names the flags only -exp run reads; sweepOnly the flags
-// only the other experiments read.
+// runOnly names the flags only -exp run reads; sweepOnly the flags only
+// the simulating sweeps read; figureOnly the flags only some of the
+// other experiments read. analytic names the experiments that simulate
+// nothing.
 var (
 	runOnly = []string{"workload", "nw", "nb", "interface", "policy", "ib", "sched", "salp",
 		"bank-budget", "check", "trace", "metrics-out", "epoch"}
-	sweepOnly = []string{"quick", "cores", "j", "progress", "fail-mode", "store", "inject", "svg", "beta"}
+	sweepOnly  = []string{"quick", "cores", "j", "progress", "fail-mode", "store", "inject"}
+	figureOnly = []string{"svg", "beta"}
+	analytic   = map[string]bool{"table1": true, "table2": true, "fig1": true, "fig6a": true,
+		"fig6b": true, "fig11": true, "list": true}
 )
 
 // checkFlagScope refuses a flag set on the command line that the chosen
 // experiment never reads, so a misplaced flag fails loudly instead of
-// silently doing nothing. set holds the names of the flags given.
+// silently doing nothing. set holds the names of the flags given. It
+// runs before any flag takes effect, so a refused -store creates no
+// directory.
 func checkFlagScope(exp string, set map[string]bool) error {
-	refused := runOnly
-	if exp == "run" {
-		refused = sweepOnly
+	refused := [][]string{runOnly}
+	switch {
+	case exp == "run":
+		refused = [][]string{sweepOnly, figureOnly}
+	case analytic[exp]:
+		refused = append(refused, sweepOnly)
 	}
-	for _, name := range refused {
-		if set[name] {
-			return fmt.Errorf("-%s does not apply to -exp %s", name, exp)
+	for _, names := range refused {
+		for _, name := range names {
+			if set[name] {
+				return fmt.Errorf("-%s does not apply to -exp %s", name, exp)
+			}
 		}
 	}
 	return nil

@@ -7,12 +7,15 @@ import (
 
 // TestCheckFlagScope: a flag the chosen experiment never reads is
 // refused with an error naming the flag and the experiment; flags every
-// experiment reads pass everywhere.
+// experiment reads pass everywhere. The analytic experiments (tables
+// and figures computed without simulation) refuse the sweep flags but
+// keep -svg and -beta where they read them.
 func TestCheckFlagScope(t *testing.T) {
 	runOnlyFlags := []string{"workload", "nw", "nb", "interface", "policy", "ib", "sched",
 		"salp", "bank-budget", "check", "trace", "metrics-out", "epoch"}
-	sweepOnlyFlags := []string{"quick", "cores", "j", "progress", "fail-mode", "store",
-		"inject", "svg", "beta"}
+	simOnlyFlags := []string{"quick", "cores", "j", "progress", "fail-mode", "store", "inject"}
+	sweepOnlyFlags := append([]string{"svg", "beta"}, simOnlyFlags...)
+	analyticExps := []string{"table1", "table2", "fig1", "fig6a", "fig6b", "fig11", "list"}
 	shared := []string{"instr", "seed", "timeout", "event-budget", "report", "pprof"}
 
 	type tc struct {
@@ -27,6 +30,14 @@ func TestCheckFlagScope(t *testing.T) {
 	for _, f := range sweepOnlyFlags {
 		cases = append(cases, tc{"run", f, true}, tc{"fig8", f, false}, tc{"all", f, false})
 	}
+	for _, f := range simOnlyFlags {
+		for _, exp := range analyticExps {
+			cases = append(cases, tc{exp, f, true})
+		}
+	}
+	cases = append(cases, tc{"fig1", "beta", false}, tc{"fig6b", "beta", false},
+		tc{"fig6a", "svg", false}, tc{"fig6b", "svg", false}, tc{"table1", "report", false},
+		tc{"fig11", "report", false})
 	for _, f := range shared {
 		cases = append(cases, tc{"run", f, false}, tc{"headline", f, false}, tc{"table1", f, false})
 	}

@@ -135,6 +135,8 @@ type Cache struct {
 
 // New builds a cache level. clockPeriod converts the geometry's cycle
 // latency to time; next supplies misses; wb absorbs dirty evictions.
+// Its tag array comes cleared from the ones released by earlier caches
+// when one of the right length is free (see Release).
 func New(eng *sim.Engine, geom config.CacheGeom, clockPeriod sim.Time, next FillFunc, wb WritebackFunc) *Cache {
 	nLines := geom.SizeBytes / geom.LineBytes
 	nSets := nLines / geom.Assoc
@@ -147,7 +149,7 @@ func New(eng *sim.Engine, geom config.CacheGeom, clockPeriod sim.Time, next Fill
 		latency:   sim.Time(geom.LatencyCy) * clockPeriod,
 		next:      next,
 		wb:        wb,
-		lines:     make([]line, nSets*geom.Assoc),
+		lines:     takeLines(nSets * geom.Assoc),
 		assoc:     geom.Assoc,
 		lineShift: uint(bits.TrailingZeros(uint(geom.LineBytes))),
 		setMask:   uint64(nSets - 1),

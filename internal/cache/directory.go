@@ -30,9 +30,9 @@ type dirSlot struct {
 	sharers uint64
 }
 
-// dirMinSlots is the table's starting size. The table starts small
-// and doubles at ¾ load, so a single-core run that touches few lines
-// pays for few slots.
+// dirMinSlots is the table's starting size when no released table is
+// free. The table starts small and doubles at ¾ load, so a single-core
+// run that touches few lines pays for few slots.
 const dirMinSlots = 64
 
 // Directory tracks L2-level sharers of memory lines in a linear-probing
@@ -48,21 +48,39 @@ type Directory struct {
 	stats DirStats
 }
 
-// NewDirectory creates a directory for n nodes (1..64).
+// NewDirectory creates a directory for n nodes (1..64). It starts from
+// a released table, cleared and at whatever size it had grown to, when
+// one is free (see Release).
 func NewDirectory(n int) *Directory {
 	if n <= 0 || n > 64 {
 		panic("cache: directory supports 1..64 nodes")
 	}
 	d := &Directory{nodes: n}
-	d.alloc(dirMinSlots)
+	if t, _ := dirTables.Get().(*dirTable); t != nil {
+		d.reuse(t)
+	} else {
+		d.alloc(dirMinSlots)
+	}
 	return d
+}
+
+// reuse installs a released table, cleared, at the size it has.
+func (d *Directory) reuse(t *dirTable) {
+	clear(t.slots)
+	d.setTable(t.slots, t.owner)
 }
 
 // alloc installs an empty table of n slots (a power of two).
 func (d *Directory) alloc(n int) {
-	d.slots = make([]dirSlot, n)
-	d.owner = make([]int8, n)
-	d.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	d.setTable(make([]dirSlot, n), make([]int8, n))
+}
+
+// setTable installs an empty table; len(slots) is a power of two and
+// owner is as long. Only occupied slots' owners are ever read, so owner
+// need not be cleared.
+func (d *Directory) setTable(slots []dirSlot, owner []int8) {
+	d.slots, d.owner = slots, owner
+	d.shift = uint(64 - bits.TrailingZeros(uint(len(slots))))
 }
 
 // home is block's preferred slot. Fibonacci hashing mixes the high

@@ -267,9 +267,11 @@ func deleteWraps(d *Directory, ref *refDirectory, block uint64, node int) bool {
 // plain modulo index) and a key span, then alternates phases that
 // mostly fill (growing the table) with phases that mostly evict
 // (deleting entries, some with probe runs that wrap the table's end).
+// Odd seeds start from a released table that another directory had
+// already grown and filled, as NewDirectory does when one is free.
 func TestDirectoryMatchesMapReference(t *testing.T) {
 	const seeds, ops = 200, 20000
-	grew, wraps := 0, 0
+	grew, grewReused, wraps := 0, 0, 0
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nodes := []int{1, 4, 16, 64}[rng.Intn(4)]
@@ -277,6 +279,13 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 		span := 16 << rng.Intn(11)
 		base := uint64(rng.Int63n(1<<40)) &^ 63
 		d, ref := NewDirectory(nodes), newRefDirectory(nodes)
+		if seed%2 == 1 {
+			d.reuse(filledTable(rand.New(rand.NewSource(^seed))))
+			if err := checkDirTable(d, ref); err != nil {
+				t.Fatalf("seed %d: reused table: %v", seed, err)
+			}
+		}
+		start := len(d.slots)
 		for i := 0; i < ops; i++ {
 			block := base + uint64(rng.Intn(span))*stride
 			op := dirOp{kind: uint8(rng.Intn(2)), node: rng.Intn(nodes), block: block}
@@ -304,14 +313,30 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 				}
 			}
 		}
-		if len(d.slots) > dirMinSlots {
+		if len(d.slots) > start {
 			grew++
+			if seed%2 == 1 {
+				grewReused++
+			}
 		}
 	}
-	t.Logf("%d of %d sequences grew the table; %d deletes crossed the wrap", grew, seeds, wraps)
-	if grew == 0 || wraps == 0 {
-		t.Fatalf("sequences grew the table %d times and deleted across the wrap %d times; want both", grew, wraps)
+	t.Logf("%d of %d sequences grew the table (%d from a reused one); %d deletes crossed the wrap",
+		grew, seeds, grewReused, wraps)
+	if grew == grewReused || grewReused == 0 || wraps == 0 {
+		t.Fatalf("sequences grew a fresh table %d times and a reused one %d times, and deleted across the wrap %d times; want all three",
+			grew-grewReused, grewReused, wraps)
 	}
+}
+
+// filledTable returns the table of a directory that grew to hold up to
+// a few thousand random lines, with every slot's owner left stale, as
+// Release hands it on.
+func filledTable(rng *rand.Rand) *dirTable {
+	old := NewDirectory(64)
+	for n := 64 << rng.Intn(6); n > 0; n-- {
+		old.Fill(uint64(rng.Int63n(1<<40))&^63, rng.Intn(64), rng.Intn(2) == 0)
+	}
+	return &dirTable{slots: old.slots, owner: old.owner}
 }
 
 // TestDirectoryDeleteAcrossWrap pins the backward-shift deletion where

@@ -301,6 +301,7 @@ func Run(spec Spec) (Result, error) {
 		return Result{}, fmt.Errorf("system: warm-up %d >= budget %d", spec.WarmupInstr, spec.InstrPerCore)
 	}
 	m := build(spec)
+	defer m.release()
 	if spec.Obs != nil {
 		m.wireObs(spec.Obs)
 		if spec.Obs.Sampler != nil {
@@ -424,6 +425,22 @@ func build(spec Spec) *machine {
 		m.cores = append(m.cores, cc)
 	}
 	return m
+}
+
+// release returns every cache's tag array and every directory's table
+// for reuse by later runs (see cache.Cache.Release). Only their
+// counters stay readable afterwards, and counters are all that an obs
+// gauge reads.
+func (m *machine) release() {
+	for _, c := range m.l1s {
+		c.Release()
+	}
+	for _, c := range m.l2s {
+		c.Release()
+	}
+	for _, d := range m.dirs {
+		d.Release()
+	}
 }
 
 // l1Miss forwards an L1 fill to the cluster's L2, with retry when the

@@ -21,7 +21,7 @@
 # .perf_gate/perfbench.log.
 set -euo pipefail
 
-PAIRS=3
+PAIRS=5
 RUN_SECONDS=2
 
 base=${1:?usage: scripts/perf_gate.sh BASE}
