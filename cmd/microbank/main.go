@@ -212,13 +212,15 @@ func buildResilience(failMode string, timeout time.Duration,
 }
 
 // runOnly names the flags only -exp run reads; sweepOnly the flags only
-// the simulating sweeps read; figureOnly the flags only some of the
-// other experiments read. analytic names the experiments that simulate
+// the simulating sweeps read; simOnly the flags every simulation reads,
+// sweep or -exp run; figureOnly the flags only some of the other
+// experiments read. analytic names the experiments that simulate
 // nothing.
 var (
 	runOnly = []string{"workload", "nw", "nb", "interface", "policy", "ib", "sched", "salp",
 		"bank-budget", "check", "trace", "metrics-out", "epoch"}
 	sweepOnly  = []string{"quick", "cores", "j", "progress", "fail-mode", "store", "inject"}
+	simOnly    = []string{"instr", "seed", "timeout", "event-budget"}
 	figureOnly = []string{"svg", "beta"}
 	analytic   = map[string]bool{"table1": true, "table2": true, "fig1": true, "fig6a": true,
 		"fig6b": true, "fig11": true, "list": true}
@@ -235,7 +237,7 @@ func checkFlagScope(exp string, set map[string]bool) error {
 	case exp == "run":
 		refused = [][]string{sweepOnly, figureOnly}
 	case analytic[exp]:
-		refused = append(refused, sweepOnly)
+		refused = append(refused, sweepOnly, simOnly)
 	}
 	for _, names := range refused {
 		for _, name := range names {

@@ -8,15 +8,17 @@ import (
 // TestCheckFlagScope: a flag the chosen experiment never reads is
 // refused with an error naming the flag and the experiment; flags every
 // experiment reads pass everywhere. The analytic experiments (tables
-// and figures computed without simulation) refuse the sweep flags but
-// keep -svg and -beta where they read them.
+// and figures computed without simulation) refuse the sweep flags and
+// the simulation flags every simulating experiment shares, but keep
+// -svg and -beta where they read them.
 func TestCheckFlagScope(t *testing.T) {
 	runOnlyFlags := []string{"workload", "nw", "nb", "interface", "policy", "ib", "sched",
 		"salp", "bank-budget", "check", "trace", "metrics-out", "epoch"}
 	simOnlyFlags := []string{"quick", "cores", "j", "progress", "fail-mode", "store", "inject"}
 	sweepOnlyFlags := append([]string{"svg", "beta"}, simOnlyFlags...)
 	analyticExps := []string{"table1", "table2", "fig1", "fig6a", "fig6b", "fig11", "list"}
-	shared := []string{"instr", "seed", "timeout", "event-budget", "report", "pprof"}
+	simFlags := []string{"instr", "seed", "timeout", "event-budget"}
+	shared := append([]string{"report", "pprof"}, simFlags...)
 
 	type tc struct {
 		exp, flag string
@@ -39,7 +41,15 @@ func TestCheckFlagScope(t *testing.T) {
 		tc{"fig6a", "svg", false}, tc{"fig6b", "svg", false}, tc{"table1", "report", false},
 		tc{"fig11", "report", false})
 	for _, f := range shared {
-		cases = append(cases, tc{"run", f, false}, tc{"headline", f, false}, tc{"table1", f, false})
+		cases = append(cases, tc{"run", f, false}, tc{"headline", f, false}, tc{"all", f, false})
+	}
+	for _, f := range []string{"report", "pprof"} {
+		cases = append(cases, tc{"table1", f, false})
+	}
+	for _, f := range simFlags {
+		for _, exp := range analyticExps {
+			cases = append(cases, tc{exp, f, true})
+		}
 	}
 	for _, c := range cases {
 		err := checkFlagScope(c.exp, map[string]bool{c.flag: true, "exp": true})

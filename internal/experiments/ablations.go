@@ -15,12 +15,9 @@ package experiments
 //     with and without μbanks.
 
 import (
-	"fmt"
-
 	"microbank/internal/config"
 	"microbank/internal/stats"
 	"microbank/internal/system"
-	"microbank/internal/workload"
 )
 
 // AblationRow is one variant measurement.
@@ -32,119 +29,68 @@ type AblationRow struct {
 	Extra   float64 // study-specific metric (see Table header)
 }
 
+// study runs one ablation: workload w at every (nW,nB) point of cfgs
+// under every variant, mut(s, i) setting the i-th, and reduces it to
+// each variant's IPC, its IPC relative to the study's first cell, and
+// the study's extra metric. Rows name the variant, prefixed by the
+// point when the study has several.
+func study(o Options, name, w string, cfgs [][2]int, variants []string,
+	mut func(s *config.System, i int), extra func(*system.Result) float64) ([]AblationRow, error) {
+	o = o.withDefaults()
+	var p plan
+	for _, cfg := range cfgs {
+		for i, v := range variants {
+			row := AblationRow{Study: name, Variant: v}
+			if len(cfgs) > 1 {
+				row.Variant = formatCfg(cfg[0], cfg[1]) + " " + v
+			}
+			var base any = row
+			if len(p) > 0 {
+				base = p[0].key
+			}
+			p.addRun(row, w, base, point{iface: config.LPDDRTSI, nW: cfg[0], nB: cfg[1], variant: v,
+				mut: func(s *config.System) { mut(s, i) }}, o)
+		}
+	}
+	return run(o, p, []column{ipcCol, relIPC, plain(extra)}, func(r *AblationRow, v []float64, _ map[any][]float64) {
+		r.IPC, r.RelIPC, r.Extra = v[0], v[1], v[2]
+	})
+}
+
+func readLatency(x *system.Result) float64 { return x.AvgReadLatencyNS }
+
 // AblationScheduler compares the three memory schedulers on a
 // multiprogrammed mix over one busy channel.
 func AblationScheduler(o Options) ([]AblationRow, error) {
-	o = o.withDefaults()
 	scheds := []config.Scheduler{config.SchedFCFS, config.SchedFRFCFS, config.SchedPARBS}
-	results, failed, err := mapRuns(o, scheds, func(sched config.Scheduler) system.Spec {
-		return multiSpec(workload.MixHigh().ForCore, config.LPDDRTSI, 1, 1,
-			func(s *config.System) {
-				s.Ctrl.Scheduler = sched
-				s.Mem.Org.Channels = 2 // concentrate interference
-			}, o)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-scheduler", failed); err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	var base float64
-	for i, sched := range scheds {
-		res := results[i]
-		if base == 0 {
-			base = res.IPC
-		}
-		rows = append(rows, AblationRow{
-			Study: "scheduler", Variant: sched.String(),
-			IPC: res.IPC, RelIPC: res.IPC / base,
-			Extra: res.AvgReadLatencyNS,
-		})
-	}
-	return rows, nil
+	return study(o, "scheduler", "mix-high", [][2]int{{1, 1}}, []string{"FCFS", "FR-FCFS", "PAR-BS"},
+		func(s *config.System, i int) {
+			s.Ctrl.Scheduler = scheds[i]
+			s.Mem.Org.Channels = 2 // concentrate interference
+		}, readLatency)
 }
 
 // AblationQueueDepth sweeps the controller queue depth on TPC-H for
 // the baseline and a μbank device, reporting mean queue occupancy —
 // the §V observation that μbanks starve queue-inspecting policies.
 func AblationQueueDepth(o Options) ([]AblationRow, error) {
-	o = o.withDefaults()
-	type job struct {
-		cfg   [2]int
-		depth int
-	}
-	var jobs []job
-	for _, cfg := range [][2]int{{1, 1}, {2, 8}} {
-		for _, depth := range []int{8, 16, 32, 64} {
-			jobs = append(jobs, job{cfg, depth})
-		}
-	}
-	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
-		return singleSpec("TPC-H", config.LPDDRTSI, j.cfg[0], j.cfg[1],
-			func(s *config.System) { s.Ctrl.QueueDepth = j.depth }, o)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-queue-depth", failed); err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	var base float64
-	for i, j := range jobs {
-		res := results[i]
-		if base == 0 {
-			base = res.IPC
-		}
-		occ := 0.0
-		if res.RuntimePS > 0 {
-			occ = res.Mem.QueueOccIntegral / float64(res.RuntimePS)
-		}
-		rows = append(rows, AblationRow{
-			Study:   "queue-depth",
-			Variant: fmt.Sprintf("(%d,%d) depth=%d", j.cfg[0], j.cfg[1], j.depth),
-			IPC:     res.IPC, RelIPC: res.IPC / base,
-			Extra: occ,
+	return study(o, "queue-depth", "TPC-H", [][2]int{{1, 1}, {2, 8}},
+		[]string{"depth=8", "depth=16", "depth=32", "depth=64"},
+		func(s *config.System, i int) { s.Ctrl.QueueDepth = 8 << i },
+		func(x *system.Result) float64 {
+			if x.RuntimePS > 0 {
+				return x.Mem.QueueOccIntegral / float64(x.RuntimePS)
+			}
+			return 0
 		})
-	}
-	return rows, nil
 }
 
 // AblationActWindow quantifies the tRRD/tFAW-scaling assumption at a
 // wordline-heavy configuration on 429.mcf.
 func AblationActWindow(o Options) ([]AblationRow, error) {
-	o = o.withDefaults()
-	variants := []bool{false, true}
-	results, failed, err := mapRuns(o, variants, func(noScale bool) system.Spec {
-		return singleSpec("429.mcf", config.LPDDRTSI, 16, 1,
-			func(s *config.System) { s.Mem.Timing.NoActWindowScaling = noScale }, o)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-act-window", failed); err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	var base float64
-	for i, noScale := range variants {
-		res := results[i]
-		name := "tRRD/tFAW scaled by nW (default)"
-		if noScale {
-			name = "unscaled activation windows"
-		}
-		if base == 0 {
-			base = res.IPC
-		}
-		rows = append(rows, AblationRow{
-			Study: "act-window", Variant: name,
-			IPC: res.IPC, RelIPC: res.IPC / base,
-			Extra: res.AvgReadLatencyNS,
-		})
-	}
-	return rows, nil
+	return study(o, "act-window", "429.mcf", [][2]int{{16, 1}},
+		[]string{"tRRD/tFAW scaled by nW (default)", "unscaled activation windows"},
+		func(s *config.System, i int) { s.Mem.Timing.NoActWindowScaling = i == 1 }, readLatency)
 }
 
 // AblationBankHash measures XOR bank hashing (permutation-based
@@ -152,89 +98,25 @@ func AblationActWindow(o Options) ([]AblationRow, error) {
 // that alias onto one bank under plain row interleaving spread out
 // under the hash.
 func AblationBankHash(o Options) ([]AblationRow, error) {
-	o = o.withDefaults()
-	type job struct {
-		cfg  [2]int
-		hash bool
-	}
-	var jobs []job
-	for _, cfg := range [][2]int{{1, 1}, {2, 8}} {
-		for _, hash := range []bool{false, true} {
-			jobs = append(jobs, job{cfg, hash})
-		}
-	}
-	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
-		return singleSpec("TPC-H", config.LPDDRTSI, j.cfg[0], j.cfg[1],
-			func(s *config.System) { s.Ctrl.XORBankHash = j.hash }, o)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-bank-hash", failed); err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	var base float64
-	for i, j := range jobs {
-		res := results[i]
-		if base == 0 {
-			base = res.IPC
-		}
-		rows = append(rows, AblationRow{
-			Study: "bank-hash", Variant: fmt.Sprintf("(%d,%d) xor=%v", j.cfg[0], j.cfg[1], j.hash),
-			IPC: res.IPC, RelIPC: res.IPC / base,
-			Extra: res.RowHitRate,
-		})
-	}
-	return rows, nil
+	return study(o, "bank-hash", "TPC-H", [][2]int{{1, 1}, {2, 8}}, []string{"xor=false", "xor=true"},
+		func(s *config.System, i int) { s.Ctrl.XORBankHash = i == 1 },
+		func(x *system.Result) float64 { return x.RowHitRate })
 }
 
 // AblationRefresh measures the refresh overhead with and without
 // μbanks.
 func AblationRefresh(o Options) ([]AblationRow, error) {
-	o = o.withDefaults()
-	type job struct {
-		cfg  [2]int
-		mode string
-	}
-	var jobs []job
-	for _, cfg := range [][2]int{{1, 1}, {4, 4}} {
-		for _, mode := range []string{"all-bank", "per-bank", "off"} {
-			jobs = append(jobs, job{cfg, mode})
-		}
-	}
-	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
-		return singleSpec("470.lbm", config.LPDDRTSI, j.cfg[0], j.cfg[1],
-			func(s *config.System) {
-				switch j.mode {
-				case "off":
-					s.Mem.Timing.TREFI = 0
-					s.Mem.Timing.TRFC = 0
-				case "per-bank":
-					s.Mem.Timing.PerBankRefresh = true
-				}
-			}, o)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-refresh", failed); err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	var base float64
-	for i, j := range jobs {
-		res := results[i]
-		if base == 0 {
-			base = res.IPC
-		}
-		rows = append(rows, AblationRow{
-			Study: "refresh", Variant: fmt.Sprintf("(%d,%d) refresh=%s", j.cfg[0], j.cfg[1], j.mode),
-			IPC: res.IPC, RelIPC: res.IPC / base,
-			Extra: float64(res.Mem.Energy.Refreshes),
-		})
-	}
-	return rows, nil
+	return study(o, "refresh", "470.lbm", [][2]int{{1, 1}, {4, 4}},
+		[]string{"refresh=all-bank", "refresh=per-bank", "refresh=off"},
+		func(s *config.System, i int) {
+			switch i {
+			case 1:
+				s.Mem.Timing.PerBankRefresh = true
+			case 2:
+				s.Mem.Timing.TREFI = 0
+				s.Mem.Timing.TRFC = 0
+			}
+		}, func(x *system.Result) float64 { return float64(x.Mem.Energy.Refreshes) })
 }
 
 // Ablations runs every ablation study and renders one table.
@@ -245,16 +127,13 @@ func Ablations(o Options) (*stats.Table, error) {
 		AblationScheduler, AblationQueueDepth, AblationActWindow,
 		AblationBankHash, AblationRefresh,
 	}
-	for i, f := range studies {
+	for _, f := range studies {
 		rows, err := f(o)
 		if err != nil {
 			return nil, err
 		}
-		if i > 0 {
-			t.AddSeparator()
-		}
 		for _, r := range rows {
-			t.AddRow(r.Study, r.Variant, r.IPC, r.RelIPC, r.Extra)
+			addRow(t, 1, r.Study, r.Variant, r.IPC, r.RelIPC, r.Extra)
 		}
 	}
 	return t, nil

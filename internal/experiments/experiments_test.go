@@ -250,10 +250,9 @@ func TestFig14InterfaceOrdering(t *testing.T) {
 	for _, w := range fig14Workloads(true) {
 		pcb := byKey[w+"/DDR3-PCB"]
 		lpddr := byKey[w+"/LPDDR-TSI"]
-		// At quick fidelity (16 cores) the PCB's 8 channels are not yet
-		// saturated, so IPC shows rough parity while the energy win is
-		// already decisive; the full 64-core runs used for
-		// EXPERIMENTS.md reproduce Fig. 14's IPC gap too.
+		// At quick fidelity the test asks only that LPDDR-TSI stay
+		// near PCB's IPC (RelIPC > 0.9) and win on energy (1/EDP gain
+		// > 1.2); it does not check Fig. 14's IPC gap.
 		if lpddr.RelIPC <= 0.9 {
 			t.Errorf("%s: LPDDR-TSI relIPC = %v, want near or above PCB", w, lpddr.RelIPC)
 		}

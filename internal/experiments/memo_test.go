@@ -17,7 +17,7 @@ import (
 // tinySpec is a fast single-core run for exercising the sweep wiring.
 func tinySpec(seed int64) system.Spec {
 	o := Options{Quick: true, Instr: 4000, Seed: seed}.withDefaults()
-	return singleSpec("429.mcf", config.LPDDRTSI, 1, 1, nil, o)
+	return specFor("429.mcf", point{iface: config.LPDDRTSI, nW: 1, nB: 1}, o)
 }
 
 // countSims runs f with mapRuns's runSpec swapped for a wrapper that
@@ -87,7 +87,7 @@ func fig8Tally(t *testing.T, o Options) ([]*GridData, sweepTally) {
 
 // mcfSpec is the quick Fig. 8 run spec of 429.mcf at (nW, nB).
 func mcfSpec(o Options, nW, nB int) system.Spec {
-	return singleSpec("429.mcf", config.LPDDRTSI, nW, nB, nil, o.withDefaults())
+	return specFor("429.mcf", point{iface: config.LPDDRTSI, nW: nW, nB: nB}, o.withDefaults())
 }
 
 // TestSweepReplaysRepeatedSpecs: the quick Fig. 8 sweep runs 429.mcf
@@ -127,13 +127,12 @@ func TestSweepReplaysRepeatedSpecs(t *testing.T) {
 		want := map[[2]int]float64{}
 		for _, name := range names {
 			ref.Res = &Resilience{}
-			cells, err := runGridCells(name, ref)
-			if err != nil || len(cells) != len(Axis)*len(Axis) {
-				t.Fatalf("reference %s: err %v, %d healthy cells", name, err, len(cells))
+			cells := gridPlan(name, ref)
+			if err := mapRuns(ref, cells); err != nil {
+				t.Fatalf("reference %s: %v", name, err)
 			}
-			base := cells[[2]int{1, 1}]
-			for k, c := range cells {
-				want[k] += c.ipc / base.ipc / float64(len(names))
+			for _, c := range cells {
+				want[c.key.([2]int)] += c.res.IPC / cells[0].res.IPC / float64(len(names))
 			}
 		}
 		if !reflect.DeepEqual(grids[i].Rel, want) || grids[i].Missing != nil {
@@ -149,12 +148,12 @@ func TestSweepReplaysRepeatedSpecs(t *testing.T) {
 		o := Options{Quick: true, Instr: 4000, Parallelism: 1, Res: &Resilience{}}
 		instr := func() uint64 {
 			t.Helper()
-			results, failed, err := mapRuns(o, []int64{7}, tinySpec)
-			if err != nil || failed != nil {
-				t.Fatalf("mapRuns: err %v, failed %v", err, failed)
+			p := plan{{key: 0, spec: func() system.Spec { return tinySpec(7) }}}
+			if err := mapRuns(o, p); err != nil || p[0].res == nil {
+				t.Fatalf("mapRuns: err %v, result %v", err, p[0].res)
 			}
-			got := results[0].PerCore[0].Instructions
-			results[0].PerCore[0].Instructions = 1
+			got := p[0].res.PerCore[0].Instructions
+			p[0].res.PerCore[0].Instructions = 1
 			return got
 		}
 		sims := countSims(t, func() {

@@ -21,11 +21,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"microbank/internal/config"
 	"microbank/internal/stats"
 	"microbank/internal/system"
-	"microbank/internal/workload"
 )
 
 // QoSRow is one (organization, policy) measurement.
@@ -64,61 +65,46 @@ func QoSSweep(o Options) ([]QoSRow, error) {
 		{"PAR-BS", config.SchedPARBS, 0},
 		{"PAR-BS+reg", config.SchedPARBS, 4},
 	}
-	type job struct {
-		org int
-		pol int
-	}
-	var jobs []job
-	for oi := range orgs {
-		for pi := range policies {
-			jobs = append(jobs, job{oi, pi})
+	var p plan
+	for _, org := range orgs {
+		for _, pol := range policies {
+			p.addRun(QoSRow{Org: org.name, Policy: pol.name}, "mix-high", nil,
+				point{iface: config.LPDDRTSI, nW: org.nw, nB: org.nb,
+					variant: strings.Fields(org.name)[0] + " " + pol.name,
+					mut: func(s *config.System) {
+						s.Mem.Org.Channels = 2 // concentrate interference
+						s.Mem.Org.SubarraysPerBank = org.subs
+						s.Ctrl.Scheduler = pol.sched
+						s.Ctrl.BankBudget = pol.budget
+					}}, o)
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
-		org, pol := orgs[j.org], policies[j.pol]
-		return multiSpec(workload.MixHigh().ForCore, config.LPDDRTSI, org.nw, org.nb,
-			func(s *config.System) {
-				s.Mem.Org.Channels = 2 // concentrate interference
-				s.Mem.Org.SubarraysPerBank = org.subs
-				s.Ctrl.Scheduler = pol.sched
-				s.Ctrl.BankBudget = pol.budget
-			}, o)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("qos", failed); err != nil {
-		return nil, err
-	}
-	var rows []QoSRow
-	for i, j := range jobs {
-		res := results[i]
-		rows = append(rows, QoSRow{
-			Org: orgs[j.org].name, Policy: policies[j.pol].name,
-			IPC:   res.IPC,
-			P50NS: res.LatP50NS, P95NS: res.LatP95NS,
-			P99NS: res.LatP99NS, MaxNS: res.LatMaxNS,
-			MaxSlowdown: res.MaxSlowdown,
-			Fairness:    res.FairnessIndex,
+	return run(o, p, []column{ipcCol,
+		plain(func(x *system.Result) float64 { return x.LatP50NS }),
+		plain(func(x *system.Result) float64 { return x.LatP95NS }),
+		plain(func(x *system.Result) float64 { return x.LatP99NS }),
+		plain(func(x *system.Result) float64 { return x.LatMaxNS }),
+		plain(func(x *system.Result) float64 { return x.MaxSlowdown }),
+		plain(func(x *system.Result) float64 { return x.FairnessIndex })},
+		func(r *QoSRow, v []float64, _ map[any][]float64) {
+			r.IPC, r.P50NS, r.P95NS, r.P99NS, r.MaxNS, r.MaxSlowdown, r.Fairness = v[0], v[1], v[2], v[3], v[4], v[5], v[6]
 		})
-	}
-	return rows, nil
 }
 
 // QoSTable renders the sweep with separators between organizations.
 func QoSTable(rows []QoSRow) *stats.Table {
+	// Latencies print to 0.1 ns; a missing one stays NaN for addRow.
+	f1 := func(v float64) any {
+		if math.IsNaN(v) {
+			return v
+		}
+		return fmt.Sprintf("%.1f", v)
+	}
 	t := stats.NewTable("QoS & scheduling: tail latency and fairness (mix-high, 2 channels)",
 		"Organization", "Policy", "IPC", "p50 ns", "p95 ns", "p99 ns", "max ns", "MaxSlowdown", "Fairness")
-	prev := ""
 	for _, r := range rows {
-		if prev != "" && r.Org != prev {
-			t.AddSeparator()
-		}
-		prev = r.Org
-		t.AddRow(r.Org, r.Policy, r.IPC,
-			fmt.Sprintf("%.1f", r.P50NS), fmt.Sprintf("%.1f", r.P95NS),
-			fmt.Sprintf("%.1f", r.P99NS), fmt.Sprintf("%.1f", r.MaxNS),
-			fmt.Sprintf("%.3f", r.MaxSlowdown), fmt.Sprintf("%.3f", r.Fairness))
+		addRow(t, 1, r.Org, r.Policy, r.IPC, f1(r.P50NS), f1(r.P95NS), f1(r.P99NS), f1(r.MaxNS),
+			r.MaxSlowdown, r.Fairness)
 	}
 	return t
 }

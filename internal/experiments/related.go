@@ -22,12 +22,12 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"microbank/internal/config"
 	"microbank/internal/dramarea"
 	"microbank/internal/sim"
 	"microbank/internal/stats"
-	"microbank/internal/system"
 )
 
 // RelatedRow is one design point of the related-work comparison.
@@ -56,56 +56,23 @@ func RelatedWork(o Options) ([]RelatedRow, error) {
 		{Design: "ubank (2,8)", Interface: config.LPDDRTSI, NW: 2, NB: 8},
 		{Design: "HMC-serial (1,1)", Interface: config.HMCSerial, NW: 1, NB: 1},
 	}
-	names := specGroup("spec-high", o.Quick)
-	// One job per (benchmark, design point), enumerated benchmark-outer
-	// to match the serial reduction order.
-	type job struct {
-		name string
-		pt   RelatedRow
-	}
-	var jobs []job
-	for _, name := range names {
+	var p plan
+	for _, name := range specGroup("spec-high", o.Quick) {
 		for _, pt := range points {
-			jobs = append(jobs, job{name, pt})
+			var mut func(*config.System)
+			if k := pt.rankSubset; k > 1 {
+				mut = func(s *config.System) {
+					s.Mem.Timing.TBL *= sim.Time(k)
+					s.Mem.Timing.TCCD *= sim.Time(k)
+				}
+			}
+			p.addRun(pt, name, points[0], point{iface: pt.Interface, nW: pt.NW, nB: pt.NB, mut: mut, variant: strings.Fields(pt.Design)[0]}, o)
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(j job) system.Spec {
-		mut := func(*config.System) {}
-		if k := j.pt.rankSubset; k > 1 {
-			mut = func(s *config.System) {
-				s.Mem.Timing.TBL *= sim.Time(k)
-				s.Mem.Timing.TCCD *= sim.Time(k)
-			}
-		}
-		return singleSpec(j.name, j.pt.Interface, j.pt.NW, j.pt.NB, mut, o)
+	return run(o, p, []column{relIPC, relInvEDP}, func(r *RelatedRow, v []float64, _ map[any][]float64) {
+		r.RelIPC, r.RelInvEDP = v[0], v[1]
+		r.AreaOver = dramarea.RelativeArea(r.NW, r.NB) - 1
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("related-work", failed); err != nil {
-		return nil, err
-	}
-	type agg struct{ ipc, edp float64 }
-	sums := make([]agg, len(points))
-	for ni := range names {
-		var base agg
-		for i := range points {
-			res := results[ni*len(points)+i]
-			if i == 0 {
-				base = agg{ipc: res.IPC, edp: res.Breakdown.EDPJs()}
-			}
-			sums[i].ipc += res.IPC / base.ipc / float64(len(names))
-			sums[i].edp += base.edp / res.Breakdown.EDPJs() / float64(len(names))
-		}
-	}
-	out := make([]RelatedRow, len(points))
-	for i, pt := range points {
-		pt.RelIPC = sums[i].ipc
-		pt.RelInvEDP = sums[i].edp
-		pt.AreaOver = dramarea.RelativeArea(pt.NW, pt.NB) - 1
-		out[i] = pt
-	}
-	return out, nil
 }
 
 // RelatedWorkTable renders the comparison.
@@ -113,7 +80,7 @@ func RelatedWorkTable(rows []RelatedRow) *stats.Table {
 	t := stats.NewTable("Related work mapped onto the μbank design space (spec-high)",
 		"Design", "Interface", "(nW,nB)", "RelIPC", "Rel1/EDP", "Area overhead")
 	for _, r := range rows {
-		t.AddRow(r.Design, r.Interface.String(),
+		addRow(t, 0, r.Design, r.Interface.String(),
 			formatCfg(r.NW, r.NB), r.RelIPC, r.RelInvEDP, r.AreaOver)
 	}
 	return t

@@ -10,7 +10,6 @@ package experiments
 import (
 	"encoding/json"
 	"os"
-	"sort"
 
 	"microbank/internal/stats"
 	"microbank/internal/system"
@@ -158,16 +157,6 @@ func (r *Report) Artifact(kind, path string) {
 		r.Artifacts = map[string]string{}
 	}
 	r.Artifacts[kind] = path
-}
-
-// MetricNames returns the recorded metric names, sorted.
-func (r *Report) MetricNames() []string {
-	names := make([]string, 0, len(r.Metrics))
-	for n := range r.Metrics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // JSON serializes the report (indented, trailing newline).

@@ -1,23 +1,14 @@
 package experiments
 
-// Sweep resilience: Options.Res configures how mapRuns survives
-// failures — whether its parallel.MapPolicy executor (which isolates
-// panics per cell) stops at the first failure or collects them all,
-// per-run limits (system.Limits), injected faults, a structured failure
-// log that flows into the Report's failures section, and the two-tier
-// result cache. A Resilience is one campaign: its memory tier serves
-// any run spec the campaign already simulated, and the optional
-// content-addressed store extends that across processes, so an
-// interrupted or partially failed campaign resumes by rerunning against
-// the same store. There are no in-process
-// retries: cells are deterministic, and a rerun against the store
-// re-simulates exactly the cells that failed. Cached cells are keyed
-// by what they simulate — the run spec's digest, which folds in
-// system.ModelFingerprint — so identical runs are shared across sweeps
-// and experiments, and an entry never outlives the model or spec that
-// produced it. Failure records address cells as (sweep, cell):
-// experiments begin their sweeps serially in deterministic order, so
-// that addressing is stable across runs and across -j widths.
+// Sweep resilience: a Resilience is one campaign — its fail mode,
+// per-run limits, injected faults, failure log, and its results, held
+// in memory and optionally in a content-addressed store keyed by what
+// a cell simulates (the run spec's digest, which folds in
+// system.ModelFingerprint). Nothing is retried in process: cells are
+// deterministic, and a rerun against the store resumes a campaign by
+// re-simulating exactly the cells that failed. Failure records address
+// cells as (sweep, cell); sweeps begin serially in deterministic order,
+// so that addressing is stable across runs and -j widths.
 
 import (
 	"bytes"
@@ -60,9 +51,9 @@ const injectCheckEvents = 256
 type Resilience struct {
 	// Collect decides what a failed cell does to the campaign: false
 	// (fail-fast) aborts at the first failure; true runs every cell,
-	// reduces the partial results where the experiment can, records the
-	// failures in the log and makes Err() non-nil so the CLI exits
-	// nonzero.
+	// reduces the healthy results (failed entries render as FAIL),
+	// records the failures in the log and makes Err() non-nil so the CLI
+	// exits nonzero.
 	Collect bool
 	// Timeout and EventBudget bound every run of the campaign
 	// (system.Limits.WallClock / EventBudget).
@@ -143,44 +134,39 @@ func (r *Resilience) beginSweep(total int) (base, sweep int) {
 	return base, sweep
 }
 
-// storeLookup returns a cell's cache address — its spec's digest, or
-// "" (simulate, do not cache) when the spec has no digest (a custom
-// generator) — and the cached result when the campaign's memory or the
-// store holds one. Memory is checked first; a store hit is remembered
-// for the rest of the campaign. The store verifies checksums on read
-// and quarantines anything invalid, so a payload is exactly the bytes
-// a completed run produced, and JSON round-trips float64 exactly, so
-// the decoded Result is bit-identical to the original and shares no
-// memory with any earlier replay. A payload that does not re-encode to
-// the same bytes was written by a build whose Result had other fields
-// (a decode would silently zero or drop them); it is a miss, and the
-// re-simulated cell overwrites it.
-func (r *Resilience) storeLookup(spec system.Spec) (key string, res system.Result, ok bool) {
-	key, err := spec.Digest()
-	if err != nil {
-		return "", res, false
+// storeLookup returns the cached result of the run spec whose digest
+// is key from the campaign's memory, else from the store (a store hit
+// is remembered); key "" — a spec without a digest — is never cached.
+// The store checksums what it serves and JSON round-trips float64
+// exactly, so the decoded Result is bit-identical to the original and
+// shares no memory with any earlier replay. A payload that does not
+// re-encode to the same bytes came from a build whose Result had other
+// fields; it is a miss, and the re-simulated cell overwrites it.
+func (r *Resilience) storeLookup(key string) (res system.Result, ok bool) {
+	if key == "" {
+		return res, false
 	}
 	r.mu.Lock()
 	data, inMemo := r.memo[key]
 	r.mu.Unlock()
 	if !inMemo {
 		if r.Store == nil {
-			return key, res, false
+			return res, false
 		}
 		if data, ok = r.Store.Get(system.ModelFingerprint, key); !ok {
-			return key, res, false
+			return res, false
 		}
 	}
 	if json.Unmarshal(data, &res) != nil {
-		return key, system.Result{}, false
+		return system.Result{}, false
 	}
 	if again, err := json.Marshal(res); err != nil || !bytes.Equal(again, data) {
-		return key, system.Result{}, false
+		return system.Result{}, false
 	}
 	if !inMemo {
 		r.remember(key, data)
 	}
-	return key, res, true
+	return res, true
 }
 
 // storeCommit records a freshly simulated healthy cell in the
@@ -233,26 +219,29 @@ func (r *Resilience) Err() error {
 	return nil
 }
 
-// limitsFor builds the per-run limits for campaign cell g: an injected
-// limit fault that deterministically trips at the first watchdog
-// check, or the campaign's RunLimits.
-func (r *Resilience) limitsFor(ctx context.Context, g int) *system.Limits {
+// limitsFor fires campaign cell g's injected fault and returns the
+// cell's run limits: a panic or error fault fires here, a timeout or
+// budget fault is limits that trip at the first watchdog check, and
+// every other cell gets the campaign's RunLimits.
+func (r *Resilience) limitsFor(ctx context.Context, g int) (*system.Limits, error) {
 	switch r.inject[g] {
+	case "panic":
+		panic(fmt.Sprintf("injected panic at campaign cell %d", g))
+	case "error":
+		return nil, fmt.Errorf("injected error at campaign cell %d", g)
 	case "timeout":
-		return &system.Limits{WallClock: time.Nanosecond, CheckEvents: injectCheckEvents}
+		return &system.Limits{WallClock: time.Nanosecond, CheckEvents: injectCheckEvents}, nil
 	case "budget":
-		return &system.Limits{EventBudget: 1, CheckEvents: injectCheckEvents}
+		return &system.Limits{EventBudget: 1, CheckEvents: injectCheckEvents}, nil
 	}
-	return r.RunLimits(ctx)
+	return r.RunLimits(ctx), nil
 }
 
-// RunLimits returns the limits every run inherits from the campaign
-// flags: the wall-clock deadline and event budget, or nil when
-// unbounded. ctx (which may be nil) threads the caller's cancellation —
-// the CLI's signal handler — into the run's watchdog, so an interrupt
-// cancels in-flight runs at their next watchdog check; the armed
-// watchdog is read-only and never perturbs results. A campaign with
-// neither bound yields only the cancellation.
+// RunLimits returns the limits every run inherits from the campaign:
+// the wall-clock deadline and event budget, plus ctx (which may be nil)
+// so a cancellation aborts in-flight runs at their next watchdog check;
+// nil when there is nothing to enforce. The watchdog never perturbs
+// results.
 func (r *Resilience) RunLimits(ctx context.Context) *system.Limits {
 	if r.Timeout <= 0 && r.EventBudget == 0 {
 		if ctx != nil {
@@ -322,19 +311,4 @@ func failureRecord(sweep int, te *parallel.TaskError) ReportFailure {
 		f.Stack = te.CleanStack()
 	}
 	return f
-}
-
-// partialUnsupported is the error an experiment returns when cells
-// failed under collect but its reduction has no degraded form.
-func partialUnsupported(exp string, failed []bool) error {
-	n := 0
-	for _, f := range failed {
-		if f {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s: %d cell(s) failed and this experiment's reduction has no degraded form (failure records in the report); fix the failures and rerun against the same -store", exp, n)
 }

@@ -174,19 +174,22 @@ func TestResumeByteIdenticalReport(t *testing.T) {
 }
 
 // TestGridFailureNamesCell: a failed partition-grid cell's record
-// names the benchmark and the (nW,nB) configuration it ran.
+// names the benchmark and the (nW,nB) configuration it ran, and the
+// cell is the only one left without a result.
 func TestGridFailureNamesCell(t *testing.T) {
 	res := &Resilience{Collect: true}
 	if err := res.SetInject("error:3"); err != nil {
 		t.Fatal(err)
 	}
 	o := Options{Quick: true, Instr: 4000, Parallelism: 2, Res: res}.withDefaults()
-	cells, err := runGridCells("429.mcf", o)
-	if err != nil {
+	p := gridPlan("429.mcf", o)
+	if err := mapRuns(o, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cells[[2]int{8, 1}]; ok || len(cells) != len(Axis)*len(Axis)-1 {
-		t.Fatalf("healthy cells = %v, want all but (8,1)", cells)
+	for i, c := range p {
+		if (c.res == nil) != (i == 3) || i == 3 && c.key != [2]int{8, 1} {
+			t.Fatalf("cell %d %v: result %v, want only cell 3 (8,1) failed", i, c.key, c.res)
+		}
 	}
 	fails := res.Log.Failures()
 	if len(fails) != 1 || !strings.Contains(fails[0].Digest, "429.mcf (8,1)") {
@@ -228,19 +231,20 @@ func TestDegradedFig8AveragesHealthyBenchmarks(t *testing.T) {
 				Fig8Workloads[i], got[i], healthy[i])
 		}
 	}
-	lbm, err := runGridCells("470.lbm", Options{Quick: true, Instr: 4000, Parallelism: 2}.withDefaults())
-	if err != nil {
+	lbm := gridPlan("470.lbm", o.withDefaults())
+	if err := mapRuns(Options{Parallelism: 2}, lbm); err != nil {
 		t.Fatal(err)
 	}
 	mcf, high := healthy[0].Rel, got[1]
 	if high.Missing != nil {
 		t.Fatalf("spec-high marks %v missing; every point kept a contributor", high.Missing)
 	}
-	base := lbm[[2]int{1, 1}].ipc
-	for k, v := range high.Rel {
-		want := mcf[k]
+	base := lbm[0].res.IPC
+	for _, c := range lbm {
+		k := c.key.([2]int)
+		v, want := high.Rel[k], mcf[k]
 		if k != [2]int{2, 2} {
-			want = (mcf[k] + lbm[k].ipc/base) / 2
+			want = (mcf[k] + c.res.IPC/base) / 2
 		}
 		if math.Abs(v-want) > 1e-12*math.Abs(want) {
 			t.Fatalf("spec-high %v = %v, want %v", k, v, want)
@@ -258,24 +262,23 @@ func TestDegradedFig8AveragesHealthyBenchmarks(t *testing.T) {
 func TestProtocolViolationIsolated(t *testing.T) {
 	res := &Resilience{Collect: true}
 	o := resOpts(res)
-	jobs := []int{0, 1, 2, 3}
-	results, failed, err := mapRuns(o, jobs, func(j int) system.Spec {
-		if j == 2 {
-			panic(&check.FatalViolation{V: check.Violation{
-				Rule: check.RuleTRCD, Cmd: obs.CmdRD, At: 100, Earliest: 200}})
-		}
-		return singleSpec("429.mcf", config.LPDDRTSI, 1, 1, nil, o.withDefaults())
-	})
-	if err != nil {
+	var p plan
+	for j := 0; j < 4; j++ {
+		p = append(p, cell{key: j, spec: func() system.Spec {
+			if j == 2 {
+				panic(&check.FatalViolation{V: check.Violation{
+					Rule: check.RuleTRCD, Cmd: obs.CmdRD, At: 100, Earliest: 200}})
+			}
+			return specFor("429.mcf", point{iface: config.LPDDRTSI, nW: 1, nB: 1}, o.withDefaults())
+		}})
+	}
+	if err := mapRuns(o, p); err != nil {
 		t.Fatalf("degraded sweep errored: %v", err)
 	}
-	for i, r := range results {
-		if i != 2 && r.IPC <= 0 {
-			t.Fatalf("sibling %d lost its result: %+v", i, r)
+	for i, c := range p {
+		if (c.res == nil) != (i == 2) || c.res != nil && c.res.IPC <= 0 {
+			t.Fatalf("cell %d: result %+v, want only cell 2 failed and its siblings healthy", i, c.res)
 		}
-	}
-	if !failed[2] || failed[0] || failed[1] || failed[3] {
-		t.Fatalf("failed mask = %v, want only cell 2", failed)
 	}
 	fails := res.Log.Failures()
 	if len(fails) != 1 || fails[0].Kind != FailKindProtocol {
@@ -376,12 +379,13 @@ func TestMapRunsNilResFailFast(t *testing.T) {
 			}},
 	} {
 		o := Options{Quick: true, Instr: 40000, Parallelism: 1, Ctx: tc.ctx}
-		results, failed, err := mapRuns(o, []int64{1}, func(seed int64) system.Spec {
-			spec := tinySpec(seed)
+		p := plan{{key: 0, spec: func() system.Spec {
+			spec := tinySpec(1)
 			spec.InstrPerCore = o.Instr
 			tc.mutate(&spec)
 			return spec
-		})
+		}}}
+		err := mapRuns(o, p)
 		var te *parallel.TaskError
 		if !errors.As(err, &te) || te.Index != 0 || te.Panicked {
 			t.Fatalf("%s: err = %v (%T), want a *parallel.TaskError for cell 0", tc.name, err, err)
@@ -389,8 +393,8 @@ func TestMapRunsNilResFailFast(t *testing.T) {
 		if !tc.check(err) {
 			t.Fatalf("%s: err = %v does not reach the run's error", tc.name, err)
 		}
-		if results != nil || failed != nil {
-			t.Fatalf("%s: fail-fast sweep returned results %v, mask %v", tc.name, results, failed)
+		if p[0].res != nil {
+			t.Fatalf("%s: fail-fast sweep returned result %+v", tc.name, p[0].res)
 		}
 	}
 }

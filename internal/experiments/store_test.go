@@ -124,8 +124,8 @@ func headlineSpecs() []system.Spec {
 	var specs []system.Spec
 	for _, name := range specGroup("spec-high", o.Quick) {
 		specs = append(specs,
-			singleSpec(name, config.DDR3PCB, 1, 1, nil, o),
-			singleSpec(name, config.LPDDRTSI, 2, 8, nil, o))
+			specFor(name, point{iface: config.DDR3PCB, nW: 1, nB: 1}, o),
+			specFor(name, point{iface: config.LPDDRTSI, nW: 2, nB: 8}, o))
 	}
 	return specs
 }
