@@ -30,10 +30,10 @@ race:
 # batch formation, selection, issue, retirement — with and without an
 # attached obs tracer), the cache's hit/miss/fill path or the
 # directory's fill/evict churn allocate in steady state, or if a
-# repeated single-core run fails to reuse the tag arrays and directory
-# tables the run before it released.
+# repeated single-core run or quick Fig. 8 sweep fails to reuse the
+# storage the runs before it released.
 alloc-guard:
-	$(GO) test -run 'AllocGuard' -count=1 ./internal/sim/ ./internal/memctrl/ ./internal/cache/ ./internal/system/
+	$(GO) test -run 'AllocGuard' -count=1 ./internal/sim/ ./internal/memctrl/ ./internal/cache/ ./internal/system/ ./internal/experiments/
 
 # Benchmark smoke: every trajectory benchmark (engine, controller
 # best/eval/formBatch, headline run, sweeps) runs once. It prints

@@ -14,6 +14,7 @@ import (
 	"math/bits"
 
 	"microbank/internal/config"
+	"microbank/internal/reuse"
 	"microbank/internal/sim"
 )
 
@@ -149,7 +150,7 @@ func New(eng *sim.Engine, geom config.CacheGeom, clockPeriod sim.Time, next Fill
 		latency:   sim.Time(geom.LatencyCy) * clockPeriod,
 		next:      next,
 		wb:        wb,
-		lines:     takeLines(nSets * geom.Assoc),
+		lines:     reuse.Take[line](nSets * geom.Assoc),
 		assoc:     geom.Assoc,
 		lineShift: uint(bits.TrailingZeros(uint(geom.LineBytes))),
 		setMask:   uint64(nSets - 1),

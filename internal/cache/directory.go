@@ -157,10 +157,11 @@ type Outcome struct {
 	// ExtraHops is the number of additional directory↔node message
 	// legs beyond the basic request/response pair.
 	ExtraHops int
-	// Invalidate lists the nodes whose copies must be invalidated
-	// (write requests) or downgraded (read requests finding an owner).
-	Invalidate []int
-	Downgrade  []int
+	// Invalidate is the bitmap of nodes whose copies must be
+	// invalidated (write requests); Downgrade that of the owner to
+	// downgrade (read requests finding an owner). Bit n is node n.
+	Invalidate uint64
+	Downgrade  uint64
 }
 
 // Fill records that node is fetching the line (write = store miss or
@@ -183,15 +184,8 @@ func (d *Directory) Fill(block uint64, node int, write bool) Outcome {
 
 	if write {
 		// Invalidate every other copy.
-		for n := 0; n < d.nodes; n++ {
-			if n == node {
-				continue
-			}
-			if s.sharers&(1<<uint(n)) != 0 {
-				out.Invalidate = append(out.Invalidate, n)
-				d.stats.Invalidations++
-			}
-		}
+		out.Invalidate = s.sharers &^ bit
+		d.stats.Invalidations += uint64(bits.OnesCount64(out.Invalidate))
 		if *owner >= 0 && int(*owner) != node {
 			// Dirty owner forwards the line instead of memory.
 			out.NeedMem = false
@@ -202,7 +196,7 @@ func (d *Directory) Fill(block uint64, node int, write bool) Outcome {
 			if out.NeedMem {
 				d.stats.MemFetches++
 			}
-			if len(out.Invalidate) > 0 {
+			if out.Invalidate != 0 {
 				out.ExtraHops = 1
 			}
 		}
@@ -213,7 +207,7 @@ func (d *Directory) Fill(block uint64, node int, write bool) Outcome {
 	// Read miss.
 	if *owner >= 0 && int(*owner) != node {
 		// Owner may be dirty: downgrade and forward.
-		out.Downgrade = append(out.Downgrade, int(*owner))
+		out.Downgrade = uint64(1) << uint(*owner)
 		out.NeedMem = false
 		out.ExtraHops = 2
 		d.stats.Forwards++

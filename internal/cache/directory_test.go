@@ -12,7 +12,7 @@ import (
 func TestDirectoryColdFill(t *testing.T) {
 	d := NewDirectory(16)
 	out := d.Fill(0x1000, 3, false)
-	if !out.NeedMem || out.ExtraHops != 0 || len(out.Invalidate) != 0 {
+	if !out.NeedMem || out.ExtraHops != 0 || out.Invalidate != 0 {
 		t.Fatalf("cold fill outcome = %+v", out)
 	}
 	if d.Sharers(0x1000) != 1 {
@@ -28,15 +28,15 @@ func TestDirectoryReadSharing(t *testing.T) {
 	if out.NeedMem {
 		t.Fatal("owner present; memory fetch should be avoided")
 	}
-	if len(out.Downgrade) != 1 || out.Downgrade[0] != 0 {
-		t.Fatalf("downgrade = %v", out.Downgrade)
+	if out.Downgrade != 1<<0 {
+		t.Fatalf("downgrade = %#b", out.Downgrade)
 	}
 	if out.ExtraHops != 2 {
 		t.Fatalf("hops = %d", out.ExtraHops)
 	}
 	// Third reader: plain shared fetch from memory.
 	out = d.Fill(0x1000, 2, false)
-	if !out.NeedMem || len(out.Downgrade) != 0 {
+	if !out.NeedMem || out.Downgrade != 0 {
 		t.Fatalf("shared read outcome = %+v", out)
 	}
 	if d.Sharers(0x1000) != 3 {
@@ -50,8 +50,8 @@ func TestDirectoryWriteInvalidatesSharers(t *testing.T) {
 	d.Fill(0x40, 1, false)
 	d.Fill(0x40, 2, false)
 	out := d.Fill(0x40, 3, true)
-	if len(out.Invalidate) != 3 {
-		t.Fatalf("invalidations = %v", out.Invalidate)
+	if out.Invalidate != 0b111 {
+		t.Fatalf("invalidations = %#b", out.Invalidate)
 	}
 	if d.Sharers(0x40) != 1 {
 		t.Fatalf("sharers after write = %d", d.Sharers(0x40))
@@ -72,8 +72,8 @@ func TestDirectoryWriteToOwnedLineForwards(t *testing.T) {
 	if out.NeedMem {
 		t.Fatal("dirty owner should forward, not fetch memory")
 	}
-	if len(out.Invalidate) != 1 || out.Invalidate[0] != 0 {
-		t.Fatalf("invalidate = %v", out.Invalidate)
+	if out.Invalidate != 1<<0 {
+		t.Fatalf("invalidate = %#b", out.Invalidate)
 	}
 	if d.Stats().Forwards != 1 {
 		t.Fatal("forward not counted")
@@ -89,8 +89,8 @@ func TestDirectoryUpgradeOwnCopy(t *testing.T) {
 	if out.NeedMem {
 		t.Fatal("upgrade should not refetch")
 	}
-	if len(out.Invalidate) != 1 || out.Invalidate[0] != 1 {
-		t.Fatalf("invalidate = %v", out.Invalidate)
+	if out.Invalidate != 1<<1 {
+		t.Fatalf("invalidate = %#b", out.Invalidate)
 	}
 }
 

@@ -37,7 +37,7 @@ func (d *refDirectory) Fill(block uint64, node int, write bool) Outcome {
 				continue
 			}
 			if e.sharers&(1<<uint(n)) != 0 {
-				out.Invalidate = append(out.Invalidate, n)
+				out.Invalidate |= 1 << uint(n)
 				d.stats.Invalidations++
 			}
 		}
@@ -50,7 +50,7 @@ func (d *refDirectory) Fill(block uint64, node int, write bool) Outcome {
 			if out.NeedMem {
 				d.stats.MemFetches++
 			}
-			if len(out.Invalidate) > 0 {
+			if out.Invalidate != 0 {
 				out.ExtraHops = 1
 			}
 		}
@@ -59,7 +59,7 @@ func (d *refDirectory) Fill(block uint64, node int, write bool) Outcome {
 	}
 
 	if e.owner >= 0 && int(e.owner) != node {
-		out.Downgrade = append(out.Downgrade, int(e.owner))
+		out.Downgrade = 1 << uint(e.owner)
 		out.NeedMem = false
 		out.ExtraHops = 2
 		d.stats.Forwards++

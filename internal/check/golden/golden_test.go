@@ -195,6 +195,80 @@ func TestGoldenQoSPolicies(t *testing.T) {
 	}
 }
 
+// TestGoldenCoherence pins 16-core runs with shared data, the paths the
+// single-program fixtures never reach: directory invalidations and
+// downgrades (RADIX, FFT), and an L2 evicting a line an L1 of its
+// cluster holds dirty, whose write-back re-enters the L2 mid-eviction.
+// RADIX runs on the paper's machine. FFT and the mix-high mix reach
+// that eviction path on the paper's 2 MB L2 only after some 64k and
+// 100k+ instructions per core, so they run on a 256 KB L2, which
+// reaches it within their short budget.
+func TestGoldenCoherence(t *testing.T) {
+	pcb := config.MemPreset(config.DDR3PCB, 1, 1)
+	tsi := config.MemPreset(config.LPDDRTSI, 2, 8)
+	cases := []struct {
+		name  string
+		mem   config.Mem
+		prog  string // a SPLASH-2 program on every core, or "" for mix-high
+		l2KB  int    // L2 size, 0 for the paper's
+		instr uint64
+	}{
+		{"radix_ddr3-pcb_1x1", pcb, "RADIX", 0, 16000},
+		{"radix_lpddr-tsi_2x8", tsi, "RADIX", 0, 16000},
+		{"fft_ddr3-pcb_1x1_l2-256k", pcb, "FFT", 256, 8000},
+		{"fft_lpddr-tsi_2x8_l2-256k", tsi, "FFT", 256, 8000},
+		{"mixhigh_lpddr-tsi_2x8_l2-256k", tsi, "", 256, 10000},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sys := config.DefaultSystem(tc.mem)
+			sys.Cores = 16
+			if tc.l2KB > 0 {
+				sys.L2.SizeBytes = tc.l2KB << 10
+			}
+			var spec system.Spec
+			if tc.prog != "" {
+				spec = system.UniformSpec(sys, workload.MustGet(tc.prog), tc.instr, 42)
+			} else {
+				spec = system.MixSpec(sys, workload.MixHigh(), tc.instr, 42)
+			}
+			spec.WarmupInstr = tc.instr / 2
+			res, err := system.Run(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			o := experiments.Options{Quick: true, Seed: 42, Instr: tc.instr}
+			r := experiments.NewReport("coherence", o)
+			tb := stats.NewTable("golden coherence run: "+tc.name, "Metric", "Value")
+			tb.AddRow("IPC", res.IPC)
+			tb.AddRow("MAPKI", res.MAPKI)
+			tb.AddRow("L1 hit rate", res.L1HitRate)
+			tb.AddRow("L2 hit rate", res.L2HitRate)
+			tb.AddRow("Row-buffer hit rate", res.RowHitRate)
+			tb.AddRow("Avg read latency (ns)", res.AvgReadLatencyNS)
+			tb.AddRow("EDP (J·s)", fmt.Sprintf("%.3e", res.Breakdown.EDPJs()))
+			r.AddTable(tb)
+			r.SetMetric("ipc", res.IPC)
+			r.SetMetric("mapki", res.MAPKI)
+			r.SetMetric("l1_hit_rate", res.L1HitRate)
+			r.SetMetric("l2_hit_rate", res.L2HitRate)
+			r.SetMetric("row_hit_rate", res.RowHitRate)
+			r.SetMetric("avg_read_latency_ns", res.AvgReadLatencyNS)
+			r.SetMetric("noc_avg_hops", res.NoCAvgHops)
+			r.SetMetric("lat_p99_ns", res.LatP99NS)
+			r.SetMetric("mem_writes", float64(res.Mem.Writes))
+			r.SetMetric("edp_js", res.Breakdown.EDPJs())
+			b, err := r.JSON()
+			if err != nil {
+				t.Fatalf("report: %v", err)
+			}
+			golden.Check(t, "testdata/coh_"+tc.name+".json", b)
+		})
+	}
+}
+
 // headlineReport runs the headline experiment at the given parallelism
 // and renders its report with the parallelism echo normalized, so the
 // bytes are comparable across -j widths.

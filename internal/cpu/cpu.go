@@ -23,6 +23,7 @@ import (
 	"math/bits"
 	"math/rand"
 
+	"microbank/internal/reuse"
 	"microbank/internal/sim"
 	"microbank/internal/workload"
 )
@@ -144,9 +145,9 @@ func New(eng *sim.Engine, p Params, gen workload.Generator, access AccessFunc, o
 		period:   sim.Time(1e6 / float64(p.FreqMHz)),
 		gen:      gen,
 		access:   access,
-		rng:      rand.New(rand.NewSource(p.Seed ^ int64(p.ID)*7919)),
-		complete: make([]sim.Time, p.ROB),
-		commit:   make([]sim.Time, p.ROB),
+		rng:      reuse.NewRand(p.Seed ^ int64(p.ID)*7919),
+		complete: reuse.Take[sim.Time](p.ROB),
+		commit:   reuse.Take[sim.Time](p.ROB),
 		onFinish: onFinish,
 	}
 	if p.ROB&(p.ROB-1) == 0 {
@@ -167,6 +168,16 @@ func New(eng *sim.Engine, p Params, gen workload.Generator, access AccessFunc, o
 		}
 	}
 	return c
+}
+
+// Release hands the core's rings and random source to the reuse store
+// for a later New. The core must not run afterwards; Stats and
+// Finished stay readable.
+func (c *Core) Release() {
+	reuse.Put(c.complete)
+	reuse.Put(c.commit)
+	reuse.PutOne(c.rng)
+	c.complete, c.commit, c.rng = nil, nil, nil
 }
 
 // Start begins execution at the current simulation time.

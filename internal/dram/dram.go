@@ -34,6 +34,7 @@ import (
 
 	"microbank/internal/config"
 	"microbank/internal/obs"
+	"microbank/internal/reuse"
 	"microbank/internal/sim"
 )
 
@@ -114,6 +115,10 @@ type Channel struct {
 	cfg   config.Mem
 	banks []bankState
 	ranks []rankState
+	// nBanks is len(banks), and openAtRelease the open-bank count when
+	// Release handed banks to the reuse store; both outlive it.
+	nBanks        int
+	openAtRelease int
 
 	busFreeAt   sim.Time // end of the last reserved data-bus slot
 	lastRdCmd   sim.Time
@@ -155,8 +160,9 @@ func NewChannel(cfg config.Mem) *Channel {
 	nBanks := cfg.Org.RanksPerChan * cfg.Org.BanksPerRank * cfg.Org.NW * cfg.Org.NB * subs
 	c := &Channel{
 		cfg:     cfg,
-		banks:   make([]bankState, nBanks),
+		banks:   reuse.Take[bankState](nBanks),
 		ranks:   make([]rankState, cfg.Org.RanksPerChan),
+		nBanks:  nBanks,
 		subs:    subs,
 		rankDiv: cfg.Org.BanksPerRank * cfg.Org.NW * cfg.Org.NB * subs,
 	}
@@ -180,7 +186,7 @@ func (c *Channel) Config() config.Mem { return c.cfg }
 
 // NumBanks returns the number of independently schedulable row buffers:
 // (μ)banks times subarrays per bank in SALP mode.
-func (c *Channel) NumBanks() int { return len(c.banks) }
+func (c *Channel) NumBanks() int { return c.nBanks }
 
 // Subarrays returns the subarrays per (μ)bank (1 when SALP is off).
 func (c *Channel) Subarrays() int { return c.subs }
@@ -195,8 +201,12 @@ func (c *Channel) SetTracer(t obs.Tracer, channel int) {
 	c.chanID = channel
 }
 
-// OpenBanks returns the number of banks currently holding an open row.
+// OpenBanks returns the number of banks currently holding an open row
+// (after Release, the number that held one when it was called).
 func (c *Channel) OpenBanks() int {
+	if c.banks == nil {
+		return c.openAtRelease
+	}
 	n := 0
 	for i := range c.banks {
 		if c.banks[i].open {
@@ -204,6 +214,18 @@ func (c *Channel) OpenBanks() int {
 		}
 	}
 	return n
+}
+
+// Release hands the bank array to the reuse store for a later
+// NewChannel. The channel must not issue commands afterwards; Energy,
+// NumBanks and OpenBanks stay readable.
+func (c *Channel) Release() {
+	if c.banks == nil {
+		return
+	}
+	c.openAtRelease = c.OpenBanks()
+	reuse.Put(c.banks)
+	c.banks = nil
 }
 
 // Open reports whether the bank's row buffer holds a row, and which.

@@ -19,6 +19,7 @@ import (
 	"microbank/internal/config"
 	"microbank/internal/dram"
 	"microbank/internal/obs"
+	"microbank/internal/reuse"
 	"microbank/internal/sim"
 	"microbank/internal/stats"
 )
@@ -226,11 +227,11 @@ func New(eng *sim.Engine, mem config.Mem, ctl config.Ctrl, threads int) *Control
 		ch:              ch,
 		mapper:          mapper,
 		cfg:             ctl,
-		banks:           make([]bankCtl, ch.NumBanks()),
+		banks:           reuse.Take[bankCtl](ch.NumBanks()),
 		pred:            newPagePredictor(ch.NumBanks(), threads),
 		winners:         newWinners(ch.NumBanks()),
 		passBanks:       make([]int, 0, ctl.QueueDepth),
-		passRow:         make([]int64, ch.NumBanks()),
+		passRow:         reuse.Take[int64](ch.NumBanks()),
 		markedPerThread: make([]int, threads),
 		batchScratch:    make([]tbCount, 0, ctl.QueueDepth),
 		trc:             ch.Config().Timing.TRC(),
@@ -244,7 +245,7 @@ func New(eng *sim.Engine, mem config.Mem, ctl config.Ctrl, threads int) *Control
 		if c.regEpoch <= 0 {
 			c.regEpoch = config.DefaultRegEpoch
 		}
-		c.regUsed = make([]int32, threads*ch.NumBanks())
+		c.regUsed = reuse.Take[int32](threads * ch.NumBanks())
 	}
 	for i := range c.banks {
 		c.banks[i].idx = i
@@ -293,7 +294,7 @@ func (c *Controller) BankOccupancy() (busy, maxQ int) {
 		return 0, 0
 	}
 	if c.bankOccScratch == nil {
-		c.bankOccScratch = make([]uint16, len(c.banks))
+		c.bankOccScratch = make([]uint16, c.ch.NumBanks())
 	}
 	occ := c.bankOccScratch
 	for i := range occ {
@@ -311,6 +312,21 @@ func (c *Controller) BankOccupancy() (busy, maxQ int) {
 		}
 	}
 	return busy, maxQ
+}
+
+// Release hands the controller's per-bank tables and its channel's
+// bank array to the reuse store for a later New. The controller must
+// not run afterwards; what observation reads after a run stays
+// readable: Stats, ThreadLatencies, QueueLen, BankOccupancy and the
+// channel's OpenBanks.
+func (c *Controller) Release() {
+	reuse.Put(c.banks)
+	reuse.Put(c.winners)
+	reuse.Put(c.passRow)
+	reuse.Put(c.regUsed)
+	c.banks, c.winners, c.passRow, c.regUsed = nil, nil, nil, nil
+	c.pred.release()
+	c.ch.Release()
 }
 
 // Stats returns a snapshot including DRAM energy so far.
@@ -516,7 +532,7 @@ var (
 
 // newWinners returns a per-bank winner table with every entry empty.
 func newWinners(nbanks int) []int32 {
-	w := make([]int32, nbanks)
+	w := reuse.Take[int32](nbanks)
 	for i := range w {
 		w[i] = -1
 	}

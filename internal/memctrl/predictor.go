@@ -7,6 +7,8 @@ package memctrl
 // static policies so their "prediction hit rate" can be reported the
 // way Fig. 13 does.
 
+import "microbank/internal/reuse"
+
 // bimodal is the paper's 2-bit predictor: states 00 strongly-open,
 // 01 open, 10 close, 11 strongly-close.
 type bimodal uint8
@@ -65,9 +67,9 @@ type pagePredictor struct {
 
 func newPagePredictor(banks, threads int) *pagePredictor {
 	p := &pagePredictor{
-		local:   make([]bimodal, banks),
-		global:  make([]bimodal, threads),
-		chooser: make([][numComponents]uint8, banks),
+		local:   reuse.Take[bimodal](banks),
+		global:  reuse.Take[bimodal](threads),
+		chooser: reuse.Take[[numComponents]uint8](banks),
 	}
 	for i := range p.chooser {
 		// Start every component mid-scale.
@@ -76,6 +78,15 @@ func newPagePredictor(banks, threads int) *pagePredictor {
 		}
 	}
 	return p
+}
+
+// release hands the predictor tables to the reuse store; the decision
+// counters stay readable.
+func (p *pagePredictor) release() {
+	reuse.Put(p.local)
+	reuse.Put(p.global)
+	reuse.Put(p.chooser)
+	p.local, p.global, p.chooser = nil, nil, nil
 }
 
 // predictComponent returns a single component's open/close prediction.

@@ -24,6 +24,8 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+
+	"microbank/internal/reuse"
 )
 
 // Time is a simulation timestamp in picoseconds.
@@ -268,12 +270,37 @@ type Engine struct {
 // noControl parks ctrlNext beyond any reachable fired count.
 const noControl = ^uint64(0)
 
-// NewEngine returns an engine with time set to zero and an empty queue.
+// NewEngine returns an engine with time set to zero and an empty queue:
+// one that Release handed to the reuse store when one is free, else a
+// fresh one.
 func NewEngine() *Engine {
+	if e := reuse.TakeOne[Engine](); e != nil {
+		return e
+	}
 	return &Engine{
 		records:  make([]event, 0, eventBlock),
 		ctrlNext: noControl,
 	}
+}
+
+// Release retires every pending event unfired, resets the engine to
+// NewEngine's state and hands it to the reuse store, keeping its record
+// slab, free list and overflow heap for a later NewEngine. Records keep
+// their generation counters, so every handle from before the release
+// reports Pending() == false for good. The engine must not be used
+// afterwards.
+func (e *Engine) Release() {
+	e.free = e.free[:0]
+	for i := len(e.records) - 1; i >= 0; i-- {
+		r := &e.records[i]
+		r.gen++
+		r.fn, r.argFn, r.arg = nil, nil, nil
+		// Pushed in reverse, so records are handed out again in slab
+		// order, as a fresh engine's appends would.
+		e.free = append(e.free, int32(i))
+	}
+	*e = Engine{records: e.records, free: e.free, overflow: e.overflow[:0], ctrlNext: noControl}
+	reuse.PutOne(e)
 }
 
 // alloc returns the slab index of a fresh or recycled event record.

@@ -14,7 +14,7 @@ import (
 // this constant matches them again. Bumping it orphans every result
 // stored under the old value, so a stored result is only ever served
 // to the model that produced it.
-const ModelFingerprint = "687e1d95b6c254808655faf7266dc8282167a3d338da53e81f5fd0e9ca46bba8"
+const ModelFingerprint = "d822f15452864b14c8b8ee2697fa4b0a9d66807ad2d68985ca8e8e966c6f4b24"
 
 // errNoDigest is Digest's refusal for specs with a custom generator.
 var errNoDigest = errors.New("system: a spec with GeneratorFor has no digest")

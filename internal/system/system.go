@@ -16,6 +16,7 @@ package system
 
 import (
 	"fmt"
+	"math/bits"
 
 	"microbank/internal/cache"
 	"microbank/internal/config"
@@ -108,14 +109,17 @@ type Result struct {
 
 // machine is the assembled hardware for one run.
 type machine struct {
-	eng    *sim.Engine
-	spec   Spec
-	mesh   *noc.Mesh
-	ctrls  []*memctrl.Controller
-	dirs   []*cache.Directory
-	l2s    []*cache.Cache
-	l1s    []*cache.Cache
-	cores  []*cpu.Core
+	eng   *sim.Engine
+	spec  Spec
+	mesh  *noc.Mesh
+	ctrls []*memctrl.Controller
+	dirs  []*cache.Directory
+	l2s   []*cache.Cache
+	l1s   []*cache.Cache
+	cores []*cpu.Core
+	// synth holds the generators the machine built itself; release
+	// returns their storage, never that of Spec.GeneratorFor's.
+	synth  []*workload.Synthetic
 	l2Wait [][]func() bool // stalled L1 fills per L2
 
 	// txnFree pools retired memTxn records so the steady-state miss and
@@ -301,7 +305,7 @@ func Run(spec Spec) (Result, error) {
 		return Result{}, fmt.Errorf("system: warm-up %d >= budget %d", spec.WarmupInstr, spec.InstrPerCore)
 	}
 	m := build(spec)
-	defer m.release()
+	defer releaseMachine(m)
 	if spec.Obs != nil {
 		m.wireObs(spec.Obs)
 		if spec.Obs.Sampler != nil {
@@ -394,7 +398,9 @@ func build(spec Spec) *machine {
 		if spec.GeneratorFor != nil {
 			gen = spec.GeneratorFor(core)
 		} else {
-			gen = workload.NewSynthetic(prof, core%63, spec.Seed)
+			s := workload.NewSynthetic(prof, core%63, spec.Seed)
+			m.synth = append(m.synth, s)
+			gen = s
 		}
 		params := cpu.Params{
 			ID:          core,
@@ -427,10 +433,15 @@ func build(spec Spec) *machine {
 	return m
 }
 
-// release returns every cache's tag array and every directory's table
-// for reuse by later runs (see cache.Cache.Release). Only their
-// counters stay readable afterwards, and counters are all that an obs
-// gauge reads.
+// releaseMachine is how Run hands a finished machine's storage back;
+// tests swap it to compare against runs that release nothing.
+var releaseMachine = (*machine).release
+
+// release returns the machine's per-run storage to the reuse store for
+// later runs: tag arrays, directory tables, controller and DRAM bank
+// tables, core rings, random sources and the engine. What a Result, an
+// obs gauge or a tracer reads stays readable afterwards (see each
+// component's Release).
 func (m *machine) release() {
 	for _, c := range m.l1s {
 		c.Release()
@@ -441,6 +452,16 @@ func (m *machine) release() {
 	for _, d := range m.dirs {
 		d.Release()
 	}
+	for _, ctl := range m.ctrls {
+		ctl.Release()
+	}
+	for _, c := range m.cores {
+		c.Release()
+	}
+	for _, g := range m.synth {
+		g.Release()
+	}
+	m.eng.Release()
 }
 
 // l1Miss forwards an L1 fill to the cluster's L2, with retry when the
@@ -483,13 +504,14 @@ func (m *machine) l2Miss(cluster int, block uint64, write bool, thread int, done
 	src := m.clusterNode(cluster)
 	dst := m.ctrlNode(ch)
 
-	// Apply coherence actions to the victim caches now; their latency
-	// is charged to the requester as extra hops below.
-	for _, node := range out.Invalidate {
-		m.l2s[node].Invalidate(block)
+	// Apply coherence actions to the victim caches now, in ascending
+	// node order; their latency is charged to the requester as extra
+	// hops below.
+	for inv := out.Invalidate; inv != 0; inv &= inv - 1 {
+		m.l2s[bits.TrailingZeros64(inv)].Invalidate(block)
 	}
-	for _, node := range out.Downgrade {
-		m.l2s[node].Downgrade(block)
+	for dg := out.Downgrade; dg != 0; dg &= dg - 1 {
+		m.l2s[bits.TrailingZeros64(dg)].Downgrade(block)
 	}
 	extra := sim.Time(out.ExtraHops) * m.mesh.Latency(src, dst)
 

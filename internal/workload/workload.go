@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"microbank/internal/reuse"
 )
 
 // Access is one memory operation of a thread's instruction stream.
@@ -123,7 +125,7 @@ func NewSynthetic(p Profile, thread int, seed int64) *Synthetic {
 	}
 	s := &Synthetic{
 		p:    p,
-		rng:  rand.New(rand.NewSource(seed ^ (int64(thread)+1)*0x9e3779b97f4a7c)),
+		rng:  reuse.NewRand(seed ^ (int64(thread)+1)*0x9e3779b97f4a7c),
 		base: uint64(thread) * threadSlotBytes,
 	}
 	s.streams = make([]uint64, p.Streams)
@@ -143,6 +145,13 @@ func NewSynthetic(p Profile, thread int, seed int64) *Synthetic {
 		s.streams[i] = s.base + uint64(i)*span + off
 	}
 	return s
+}
+
+// Release hands the generator's random source to the reuse store for a
+// later NewSynthetic. The generator must not be drawn from afterwards.
+func (s *Synthetic) Release() {
+	reuse.PutOne(s.rng)
+	s.rng = nil
 }
 
 // Profile returns the generator's profile.
