@@ -86,15 +86,17 @@ crash-smoke:
 # Short fuzz smokes (CI runs them; drop -fuzztime for an open-ended
 # session): randomized configurations through the sanitizer,
 # schedule/cancel/run sequences through both tiers of the event queue
-# against a sorted reference, and fill/evict sequences through the
-# coherence directory against its map-keyed reference. The queue and
-# directory fuzzers find new coverage every few hundred runs;
-# minimizing each find for the default 60 s would spend the whole
+# against a sorted reference, fill/evict sequences through the
+# coherence directory against its map-keyed reference, and spec-file
+# bytes through decode, validation and a sanitized run. The queue,
+# directory and spec-file fuzzers find new coverage every few hundred
+# runs; minimizing each find for the default 60 s would spend the whole
 # smoke on minimization, so it is capped.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTimingConfig' -fuzztime 20s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineOrder' -fuzztime 10s -fuzzminimizetime 50x ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzDirectoryOps' -fuzztime 10s -fuzzminimizetime 50x ./internal/cache/
+	$(GO) test -run '^$$' -fuzz 'FuzzSpecFile' -fuzztime 20s -fuzzminimizetime 50x ./internal/system/
 
 # Deliberately regenerate the golden run-report fixtures after a
 # change that intentionally alters simulation results (see

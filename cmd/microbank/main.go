@@ -5,16 +5,18 @@
 //
 //	microbank -exp fig8                 # regenerate Fig. 8 (relative IPC grids)
 //	microbank -exp all -quick           # every experiment, reduced fidelity
-//	microbank -exp run -workload 429.mcf -nw 2 -nb 8 -policy open
-//	microbank -exp run -workload 429.mcf -trace out.trace.json -metrics-out out.csv
-//	microbank -exp run -workload 429.mcf -check collect   # DRAM timing-protocol sanitizer
+//	microbank -exp run -spec examples/specs/tpch_lpddr-tsi_2x8.json
+//	microbank -exp run -spec examples/specs/mcf_lpddr-tsi_1x1.json -trace out.trace.json -metrics-out out.csv
+//	microbank -exp run -spec examples/specs/mcf_lpddr-tsi_1x1.json -check collect   # DRAM timing-protocol sanitizer
 //	microbank -exp list                 # list experiments and workloads
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -23,9 +25,9 @@ import (
 	"time"
 
 	"microbank/internal/check"
-	"microbank/internal/config"
 	"microbank/internal/experiments"
 	"microbank/internal/obs"
+	"microbank/internal/parallel"
 	"microbank/internal/sim"
 	"microbank/internal/stats"
 	"microbank/internal/store"
@@ -42,17 +44,9 @@ func main() {
 		seed   = flag.Int64("seed", 42, "simulation seed")
 		jobs   = flag.Int("j", 0, "parallel simulations per sweep (0 = all cores); output is identical at any -j")
 		beta   = flag.Float64("beta", 1.0, "activates per column access for fig1/fig6b")
-		wl     = flag.String("workload", "429.mcf", "workload for -exp run")
-		nw     = flag.Int("nw", 1, "wordline partitions for -exp run")
-		nb     = flag.Int("nb", 1, "bitline partitions for -exp run")
-		iface  = flag.String("interface", "LPDDR-TSI", "DDR3-PCB | DDR3-TSI | LPDDR-TSI")
-		policy = flag.String("policy", "open", "page policy: open close minimalist local global tournament perfect")
-		ibit   = flag.Int("ib", 13, "interleave base bit (6 = cache line, 13 = row)")
-		sched  = flag.String("sched", "parbs", "memory scheduler for -exp run: frfcfs parbs fcfs")
-		salp   = flag.Int("salp", 0, "SALP subarrays per bank for -exp run (0 = off, power of two)")
-		budget = flag.Int("bank-budget", 0, "per-(thread,bank) column-access budget per regulator epoch for -exp run (0 = regulator off)")
 		svgOut = flag.String("svg", "", "also write grid experiments (fig6a/fig6b/fig8/fig9) as SVG heatmaps with this filename prefix")
 
+		specPath   = flag.String("spec", "", "run spec file for -exp run: the JSON form of system.Spec (examples in examples/specs)")
 		checkFlag  = flag.String("check", "off", "timing-protocol sanitizer for -exp run: off | collect | fatal")
 		traceOut   = flag.String("trace", "", "write DRAM commands of -exp run as Chrome trace-event JSON (open in Perfetto)")
 		metricsOut = flag.String("metrics-out", "", "write epoch time-series metrics of -exp run to this file (.json, or CSV otherwise)")
@@ -64,7 +58,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = none); exceeded runs fail with a diagnostic snapshot")
 		eventBudget = flag.Uint64("event-budget", 0, "per-run simulation event budget (0 = none)")
 		failMode    = flag.String("fail-mode", "fail-fast", "sweep reaction to a failed cell: fail-fast | collect (run every cell, report the failures, exit nonzero)")
-		storeDir    = flag.String("store", "", "content-addressed result store directory: completed sweep cells are committed to it (checksummed, atomic) keyed by model and run spec, and replayed byte-identically by any later run — rerunning against the same store resumes a campaign")
+		storeDir    = flag.String("store", "", "content-addressed result store directory: completed runs are committed to it (checksummed, atomic) keyed by model and run spec, and replayed byte-identically by any later run — rerunning against the same store resumes a campaign")
 		injectSpec  = flag.String("inject", "", "deterministic fault injection for testing, e.g. panic:1,timeout:3 (kinds: panic error timeout budget)")
 	)
 	flag.Parse()
@@ -128,16 +122,15 @@ func main() {
 	if *reportOut != "" {
 		report = experiments.NewReport(*exp, o)
 	}
-	oflags := obsFlags{trace: *traceOut, metrics: *metricsOut, epochCycles: *epochCyc, check: *checkFlag}
-	rflags := runFlags{wl: *wl, nw: *nw, nb: *nb, iface: *iface, policy: *policy,
-		ibit: *ibit, sched: *sched, salp: *salp, budget: *budget}
+	oflags := obsFlags{spec: *specPath, trace: *traceOut, metrics: *metricsOut, epochCycles: *epochCyc,
+		check: *checkFlag}
 
 	start := time.Now()
-	err = dispatch(*exp, o, report, oflags, *beta, rflags)
+	err = dispatch(*exp, o, report, oflags, *beta)
 	if report != nil {
 		report.AddFailures(res.Log)
 	}
-	summarizeFailures(res)
+	summarizeFailures(os.Stderr, res)
 	if res.Store != nil {
 		st := res.Store.Stats()
 		fmt.Fprintf(os.Stderr, "microbank: store: %d hit(s), %d miss(es), %d new entr(y/ies), %d quarantined\n",
@@ -167,7 +160,9 @@ func main() {
 		err = res.Err() // collect mode: failures mean a nonzero exit
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "microbank:", err)
+		if !summarized(res, err) {
+			fmt.Fprintln(os.Stderr, "microbank:", err)
+		}
 		if *pprofOut != "" {
 			pprof.StopCPUProfile()
 		}
@@ -212,15 +207,14 @@ func buildResilience(failMode string, timeout time.Duration,
 }
 
 // runOnly names the flags only -exp run reads; sweepOnly the flags only
-// the simulating sweeps read; simOnly the flags every simulation reads,
-// sweep or -exp run; figureOnly the flags only some of the other
-// experiments read. analytic names the experiments that simulate
-// nothing.
+// the simulating sweeps read (a spec file carries its own budget and
+// seed); simOnly the flags every simulation reads, sweep or -exp run;
+// figureOnly the flags only some of the other experiments read.
+// analytic names the experiments that simulate nothing.
 var (
-	runOnly = []string{"workload", "nw", "nb", "interface", "policy", "ib", "sched", "salp",
-		"bank-budget", "check", "trace", "metrics-out", "epoch"}
-	sweepOnly  = []string{"quick", "cores", "j", "progress", "fail-mode", "store", "inject"}
-	simOnly    = []string{"instr", "seed", "timeout", "event-budget"}
+	runOnly    = []string{"spec", "check", "trace", "metrics-out", "epoch"}
+	sweepOnly  = []string{"quick", "cores", "j", "progress", "fail-mode", "instr", "seed"}
+	simOnly    = []string{"timeout", "event-budget", "store", "inject"}
 	figureOnly = []string{"svg", "beta"}
 	analytic   = map[string]bool{"table1": true, "table2": true, "fig1": true, "fig6a": true,
 		"fig6b": true, "fig11": true, "list": true}
@@ -228,13 +222,16 @@ var (
 
 // checkFlagScope refuses a flag set on the command line that the chosen
 // experiment never reads, so a misplaced flag fails loudly instead of
-// silently doing nothing. set holds the names of the flags given. It
-// runs before any flag takes effect, so a refused -store creates no
-// directory.
+// silently doing nothing, and -exp run without its -spec. set holds the
+// names of the flags given. It runs before any flag takes effect, so a
+// refused -store creates no directory.
 func checkFlagScope(exp string, set map[string]bool) error {
 	refused := [][]string{runOnly}
 	switch {
 	case exp == "run":
+		if !set["spec"] {
+			return fmt.Errorf("-exp run needs -spec FILE (examples in examples/specs)")
+		}
 		refused = [][]string{sweepOnly, figureOnly}
 	case analytic[exp]:
 		refused = append(refused, sweepOnly, simOnly)
@@ -249,9 +246,9 @@ func checkFlagScope(exp string, set map[string]bool) error {
 	return nil
 }
 
-// summarizeFailures prints the campaign's failure records to stderr
-// (stdout stays reserved for the deterministic tables).
-func summarizeFailures(res *experiments.Resilience) {
+// summarizeFailures prints the campaign's failure records to w, which
+// is stderr (stdout stays reserved for the deterministic tables).
+func summarizeFailures(w io.Writer, res *experiments.Resilience) {
 	if res.Log == nil {
 		return
 	}
@@ -259,11 +256,27 @@ func summarizeFailures(res *experiments.Resilience) {
 	if len(fails) == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "microbank: %d sweep cell(s) failed:\n", len(fails))
+	fmt.Fprintf(w, "microbank: %d sweep cell(s) failed:\n", len(fails))
 	for _, f := range fails {
-		fmt.Fprintf(os.Stderr, "microbank:   sweep %d cell %d [%s] %s: %s\n",
+		fmt.Fprintf(w, "microbank:   sweep %d cell %d [%s] %s: %s\n",
 			f.Sweep, f.Cell, f.Kind, f.Digest, f.Error)
 	}
+}
+
+// summarized reports whether err is a failed cell's own error — what
+// fail-fast returns — whose record summarizeFailures already printed,
+// so the failure is not printed twice.
+func summarized(res *experiments.Resilience, err error) bool {
+	var te *parallel.TaskError
+	if res.Log == nil || !errors.As(err, &te) {
+		return false
+	}
+	for _, f := range res.Log.Failures() {
+		if f.Digest == te.Digest {
+			return true
+		}
+	}
+	return false
 }
 
 // heartbeat returns a Progress callback that prints a rate-limited
@@ -276,24 +289,14 @@ func heartbeat() func(done, total int) {
 	})
 }
 
-// obsFlags carries the -exp run observability options.
+// obsFlags carries the -exp run options: the spec file and the
+// observability layer.
 type obsFlags struct {
+	spec        string
 	trace       string
 	metrics     string
 	epochCycles uint64
 	check       string
-}
-
-// runFlags carries the -exp run configuration options.
-type runFlags struct {
-	wl     string
-	nw, nb int
-	iface  string
-	policy string
-	ibit   int
-	sched  string // frfcfs | parbs | fcfs
-	salp   int    // SALP subarrays per bank (0 = off)
-	budget int    // regulator per-(thread,bank) budget (0 = off)
 }
 
 // svgPrefix, when set, makes grid experiments also emit SVG heatmaps.
@@ -328,8 +331,7 @@ func emitGrid(report *experiments.Report, g *experiments.GridData, name, title s
 	return nil
 }
 
-func dispatch(exp string, o experiments.Options, report *experiments.Report, of obsFlags,
-	beta float64, rf runFlags) error {
+func dispatch(exp string, o experiments.Options, report *experiments.Report, of obsFlags, beta float64) error {
 	switch exp {
 	case "list":
 		fmt.Println("experiments: fig1 table1 fig6a fig6b fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 headline ablations qos related all run")
@@ -417,86 +419,30 @@ func dispatch(exp string, o experiments.Options, report *experiments.Report, of 
 		emit(report, experiments.RelatedWorkTable(rows))
 	case "all":
 		for _, id := range []string{"table1", "table2", "fig1", "fig6a", "fig6b", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "headline", "ablations", "qos", "related"} {
-			if err := dispatch(id, o, report, of, beta, rf); err != nil {
+			if err := dispatch(id, o, report, of, beta); err != nil {
 				return fmt.Errorf("%s: %w", id, err)
 			}
 		}
 	case "run":
-		return runCustom(o, report, of, rf)
+		return runFile(o, report, of)
 	default:
 		return fmt.Errorf("unknown experiment %q (try -exp list)", exp)
 	}
 	return nil
 }
 
-// runGuarded converts the sanitizer's fatal-mode panic into the typed
-// error it carries, so a timing violation under -check fatal reports
-// cleanly and exits through main's single error path. Any other panic
-// propagates — a crash of the simulator itself should still dump its
-// stack.
-func runGuarded(spec system.Spec) (res system.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fv, ok := r.(*check.FatalViolation)
-			if !ok {
-				panic(r)
-			}
-			err = fv
-		}
-	}()
-	return system.Run(spec)
-}
-
-// runCustom executes one ad-hoc configuration and prints a summary,
-// attaching the observability layer when -trace / -metrics-out ask
-// for it.
-func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, rf runFlags) error {
-	var iface config.Interface
-	switch rf.iface {
-	case "DDR3-PCB":
-		iface = config.DDR3PCB
-	case "DDR3-TSI":
-		iface = config.DDR3TSI
-	case "LPDDR-TSI":
-		iface = config.LPDDRTSI
-	default:
-		return fmt.Errorf("unknown interface %q", rf.iface)
-	}
-	policies := map[string]config.PagePolicy{
-		"open": config.OpenPage, "close": config.ClosePage, "minimalist": config.MinimalistOpen,
-		"local": config.PredLocal, "global": config.PredGlobal,
-		"tournament": config.PredTournament, "perfect": config.PredPerfect,
-	}
-	pol, ok := policies[rf.policy]
-	if !ok {
-		return fmt.Errorf("unknown policy %q", rf.policy)
-	}
-	scheds := map[string]config.Scheduler{
-		"frfcfs": config.SchedFRFCFS, "parbs": config.SchedPARBS, "fcfs": config.SchedFCFS,
-	}
-	schedVal, ok := scheds[rf.sched]
-	if !ok {
-		return fmt.Errorf("unknown scheduler %q (frfcfs | parbs | fcfs)", rf.sched)
-	}
-	prof, err := workload.Get(rf.wl)
+// runFile runs the spec file's one run as a one-cell plan and prints a
+// summary, attaching the observability layer when -trace, -metrics-out
+// or -check ask for it.
+func runFile(o experiments.Options, report *experiments.Report, of obsFlags) error {
+	spec, err := system.ReadSpecFile(of.spec)
 	if err != nil {
 		return err
 	}
-	if o.Instr == 0 {
-		o.Instr = 240000
+	sys := spec.Sys
+	if report != nil {
+		report.Instr, report.Seed = spec.InstrPerCore, spec.Seed
 	}
-	sys := config.SingleCore(config.MemPreset(iface, rf.nw, rf.nb))
-	sys.Ctrl.PagePolicy = pol
-	sys.Ctrl.InterleaveBit = rf.ibit
-	sys.Ctrl.Scheduler = schedVal
-	sys.Ctrl.BankBudget = rf.budget
-	sys.Mem.Org.SubarraysPerBank = rf.salp
-	if err := sys.Validate(); err != nil {
-		return err
-	}
-	spec := system.UniformSpec(sys, prof, o.Instr, o.Seed)
-	spec.WarmupInstr = o.Instr / 2
-	spec.Limits = o.Res.RunLimits(o.Ctx)
 
 	var (
 		observer *obs.Observer
@@ -529,13 +475,13 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 		spec.Obs = observer
 	}
 
-	res, err := runGuarded(spec)
+	title := runTitle(spec)
+	res, err := experiments.RunOne(o, title, spec)
 	if err != nil {
 		flushAborted(err, tracer, sampler, of, report)
 		return err
 	}
-	t := stats.NewTable(fmt.Sprintf("%s on %s (%d,%d), %s page, iB=%d",
-		rf.wl, rf.iface, rf.nw, rf.nb, rf.policy, rf.ibit), "Metric", "Value")
+	t := stats.NewTable(title, "Metric", "Value")
 	t.AddRow("IPC", res.IPC)
 	t.AddRow("MAPKI", res.MAPKI)
 	t.AddRow("Row-buffer hit rate", res.RowHitRate)
@@ -550,7 +496,7 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 	t.AddRow("EDP (J·s)", fmt.Sprintf("%.3e", res.Breakdown.EDPJs()))
 	// QoS rows only when a QoS knob is active, so default output is
 	// unchanged.
-	if rf.salp > 0 || rf.budget > 0 {
+	if sys.Mem.Org.SubarraysPerBank > 0 || sys.Ctrl.BankBudget > 0 {
 		t.AddRow("p99 latency (ns, whole run)", res.LatP99NS)
 		t.AddRow("Max latency (ns, whole run)", res.LatMaxNS)
 	}
@@ -590,6 +536,22 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 		fmt.Printf("protocol check: %d DRAM commands, 0 violations\n", checker.Commands())
 	}
 	return nil
+}
+
+// runTitle names a run: each distinct profile in core order, then the
+// memory configuration.
+func runTitle(spec system.Spec) string {
+	var names []string
+	seen := map[string]bool{}
+	for _, p := range spec.Profiles {
+		if !seen[p.Name] {
+			seen[p.Name] = true
+			names = append(names, p.Name)
+		}
+	}
+	sys := spec.Sys
+	return fmt.Sprintf("%s on %s (%d,%d), %s page, iB=%d", strings.Join(names, "+"),
+		sys.Mem.Interface, sys.Mem.Org.NW, sys.Mem.Org.NB, sys.Ctrl.PagePolicy, sys.Ctrl.InterleaveBit)
 }
 
 // writeTrace writes the Chrome trace artifact and records it in the

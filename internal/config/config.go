@@ -10,6 +10,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 
 	"microbank/internal/sim"
 )
@@ -52,6 +53,30 @@ func (i Interface) String() string {
 
 // Interfaces lists all modeled processor-memory interfaces in paper order.
 func Interfaces() []Interface { return []Interface{DDR3PCB, DDR3TSI, LPDDRTSI} }
+
+// MarshalText encodes the interface as its String form, so spec files
+// name it ("LPDDR-TSI"); an out-of-range value encodes too, and
+// UnmarshalText refuses it.
+func (i Interface) MarshalText() ([]byte, error) { return []byte(i.String()), nil }
+
+// UnmarshalText decodes a String form.
+func (i *Interface) UnmarshalText(b []byte) error { return parseName(i, b, HMCSerial+1, "interface") }
+
+// parseName sets *v to the value in [0, n) whose String form is b, the
+// inverse of the enums' MarshalText.
+func parseName[E interface {
+	~int
+	String() string
+}](v *E, b []byte, n E, kind string) error {
+	names := make([]string, n)
+	for e := E(0); e < n; e++ {
+		if names[e] = e.String(); names[e] == string(b) {
+			*v = e
+			return nil
+		}
+	}
+	return fmt.Errorf("config: unknown %s %q (%s)", kind, b, strings.Join(names, " | "))
+}
 
 // Timing holds DRAM timing constraints (Table I plus the standard
 // secondary constraints the paper inherits from DDR3/LPDDR datasheets).
@@ -206,6 +231,9 @@ type Mem struct {
 
 // Validate checks the whole memory configuration.
 func (m Mem) Validate() error {
+	if m.Interface < 0 || m.Interface > HMCSerial {
+		return fmt.Errorf("config: unknown interface %v", m.Interface)
+	}
 	if err := m.Org.Validate(); err != nil {
 		return err
 	}
@@ -404,6 +432,14 @@ func (p PagePolicy) String() string {
 	}
 }
 
+// MarshalText encodes the policy as its String form ("open").
+func (p PagePolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText decodes a String form.
+func (p *PagePolicy) UnmarshalText(b []byte) error {
+	return parseName(p, b, PredPerfect+1, "page policy")
+}
+
 // Scheduler selects the memory-access scheduling algorithm.
 type Scheduler int
 
@@ -429,6 +465,14 @@ func (s Scheduler) String() string {
 	default:
 		return fmt.Sprintf("Scheduler(%d)", int(s))
 	}
+}
+
+// MarshalText encodes the scheduler as its String form ("PAR-BS").
+func (s Scheduler) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText decodes a String form.
+func (s *Scheduler) UnmarshalText(b []byte) error {
+	return parseName(s, b, SchedFCFS+1, "scheduler")
 }
 
 // Ctrl holds memory-controller parameters.
@@ -514,19 +558,28 @@ func (s System) Validate() error {
 	if s.Cores <= 0 || s.CoresPerL2 <= 0 {
 		return fmt.Errorf("config: non-positive core counts")
 	}
-	if s.Core.IssueWidth <= 0 || s.Core.ROBEntries <= 0 || s.Core.FreqMHz <= 0 {
+	if s.Core.IssueWidth <= 0 || s.Core.CommitWidth <= 0 || s.Core.ROBEntries <= 0 || s.Core.FreqMHz <= 0 {
 		return fmt.Errorf("config: bad core parameters: %+v", s.Core)
 	}
 	for _, g := range []CacheGeom{s.L1D, s.L1I, s.L2} {
-		if g.SizeBytes <= 0 || g.Assoc <= 0 || g.LineBytes <= 0 {
+		if g.SizeBytes <= 0 || g.Assoc <= 0 || g.LineBytes <= 0 || g.LatencyCy <= 0 || g.MSHRs <= 0 || g.Banks <= 0 {
 			return fmt.Errorf("config: bad cache geometry: %+v", g)
 		}
 		if g.SizeBytes%(g.Assoc*g.LineBytes) != 0 {
 			return fmt.Errorf("config: cache size %d not divisible by assoc*line", g.SizeBytes)
 		}
 	}
-	if s.Ctrl.QueueDepth <= 0 {
-		return fmt.Errorf("config: non-positive queue depth")
+	if s.MeshDim <= 0 {
+		return fmt.Errorf("config: non-positive mesh side %d", s.MeshDim)
+	}
+	if s.Ctrl.QueueDepth <= 0 || s.Ctrl.BatchCap <= 0 {
+		return fmt.Errorf("config: non-positive queue depth or batch cap")
+	}
+	if s.Ctrl.Scheduler < 0 || s.Ctrl.Scheduler > SchedFCFS {
+		return fmt.Errorf("config: unknown scheduler %v", s.Ctrl.Scheduler)
+	}
+	if s.Ctrl.PagePolicy < 0 || s.Ctrl.PagePolicy > PredPerfect {
+		return fmt.Errorf("config: unknown page policy %v", s.Ctrl.PagePolicy)
 	}
 	if s.Ctrl.InterleaveBit < 6 {
 		return fmt.Errorf("config: interleave bit %d below cache-line bits", s.Ctrl.InterleaveBit)

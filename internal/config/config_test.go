@@ -239,3 +239,45 @@ func TestOrgPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEnumText: each enum marshals to its String form and decodes back
+// from it; an out-of-range value still marshals, and decoding refuses
+// any other name, listing the valid ones.
+func TestEnumText(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		marshal func(int) (string, error)
+		parse   func(string) (int, error)
+	}{
+		{int(HMCSerial) + 1,
+			func(i int) (string, error) { b, err := Interface(i).MarshalText(); return string(b), err },
+			func(s string) (int, error) { var v Interface; err := v.UnmarshalText([]byte(s)); return int(v), err }},
+		{int(PredPerfect) + 1,
+			func(i int) (string, error) { b, err := PagePolicy(i).MarshalText(); return string(b), err },
+			func(s string) (int, error) { var v PagePolicy; err := v.UnmarshalText([]byte(s)); return int(v), err }},
+		{int(SchedFCFS) + 1,
+			func(i int) (string, error) { b, err := Scheduler(i).MarshalText(); return string(b), err },
+			func(s string) (int, error) { var v Scheduler; err := v.UnmarshalText([]byte(s)); return int(v), err }},
+	} {
+		for i := 0; i < c.n; i++ {
+			name, err := c.marshal(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := c.parse(name); err != nil || got != i {
+				t.Errorf("%q decodes to %d (%v), want %d", name, got, err, i)
+			}
+		}
+		name, err := c.marshal(c.n)
+		if err != nil || !strings.Contains(name, "(") {
+			t.Errorf("out-of-range value marshals to %q (%v)", name, err)
+		}
+		if _, err := c.parse(name); err == nil {
+			t.Errorf("out-of-range name %q decoded", name)
+		}
+		first, _ := c.marshal(0)
+		if _, err := c.parse("bogus"); err == nil || !strings.Contains(err.Error(), first) {
+			t.Errorf("unknown name: err = %v, want one listing %q", err, first)
+		}
+	}
+}

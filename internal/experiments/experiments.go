@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 
 	"microbank/internal/config"
 	"microbank/internal/stats"
@@ -194,25 +193,6 @@ func (g *GridData) Table(title string) *stats.Table {
 		addRow(t, 0, row...)
 	}
 	return t
-}
-
-// CSV renders the grid as comma-separated values with an nB row header
-// and nW column header, for plotting tools.
-func (g *GridData) CSV() string {
-	var out strings.Builder
-	out.WriteString("nB\\nW")
-	for _, w := range Axis {
-		fmt.Fprintf(&out, ",%d", w)
-	}
-	out.WriteByte('\n')
-	for _, b := range Axis {
-		fmt.Fprintf(&out, "%d", b)
-		for _, w := range Axis {
-			fmt.Fprintf(&out, ",%.4f", g.At(w, b))
-		}
-		out.WriteByte('\n')
-	}
-	return out.String()
 }
 
 // gridPlan is one benchmark's sweep over the full partition grid: 25

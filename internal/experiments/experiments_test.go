@@ -310,20 +310,6 @@ func TestSpecGroupSelection(t *testing.T) {
 	}
 }
 
-func TestGridCSV(t *testing.T) {
-	csv := Fig6a().CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("csv lines = %d, want 6", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "nB\\nW,1,2,4,8,16") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "1.0000") {
-		t.Fatalf("row = %q", lines[1])
-	}
-}
-
 func TestGridSVG(t *testing.T) {
 	svg := Fig6a().SVG("Fig. 6a <area>")
 	for _, want := range []string{"<svg", "</svg>", "&lt;area&gt;", "1.267", "rect"} {

@@ -5,12 +5,14 @@ package experiments
 // memoizes a failure, and shares nothing with another campaign.
 
 import (
+	"encoding/json"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"microbank/internal/config"
+	"microbank/internal/obs"
 	"microbank/internal/system"
 )
 
@@ -213,6 +215,53 @@ func TestCampaignsShareNothing(t *testing.T) {
 	for call := 0; call < 2; call++ {
 		if _, tally := fig8Tally(t, o); tally.simulated() != 100 {
 			t.Fatalf("call %d simulated %d cells, want 100", call, tally.simulated())
+		}
+	}
+}
+
+// TestRunOneReplaysUnlessObserved: a single run is a one-cell plan that
+// shares the campaign's memory, except that a spec carrying an observer
+// always simulates, because its artifacts need the run.
+func TestRunOneReplaysUnlessObserved(t *testing.T) {
+	o := Options{Res: &Resilience{}}
+	spec := tinySpec(42)
+	var res [3]system.Result
+	sims := countSims(t, func() {
+		for i := range res {
+			if i == 2 {
+				spec.Obs = obs.NewObserver()
+			}
+			var err error
+			if res[i], err = RunOne(o, "tiny", spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	d, _ := spec.Digest()
+	if sims[d] != 2 {
+		t.Errorf("simulated %d times, want 2 (the repeat replays, the observed run simulates)", sims[d])
+	}
+	// A replay is bit-identical in its stored form, the one results are
+	// compared in.
+	enc := func(r system.Result) string { b, _ := json.Marshal(r); return string(b) }
+	if enc(res[0]) != enc(res[1]) || enc(res[0]) != enc(res[2]) {
+		t.Error("replayed or observed result differs from the first run")
+	}
+}
+
+// TestRunOneFailsUnderCollect: a failed single run is an error under
+// either fail mode, with its failure record logged.
+func TestRunOneFailsUnderCollect(t *testing.T) {
+	for _, collect := range []bool{false, true} {
+		r := &Resilience{Collect: collect}
+		if err := r.SetInject("error:0"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunOne(Options{Res: r}, "tiny", tinySpec(42)); err == nil {
+			t.Errorf("collect %v: injected failure not returned", collect)
+		}
+		if fails := r.Log.Failures(); len(fails) != 1 {
+			t.Errorf("collect %v: %d failure records, want 1", collect, len(fails))
 		}
 	}
 }

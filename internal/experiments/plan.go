@@ -193,24 +193,40 @@ func addRow(t *stats.Table, group int, cells ...any) {
 	t.AddRow(cells...)
 }
 
+// RunOne runs one spec as a one-cell plan, so a single run shares the
+// sweeps' limits, injected faults, failure records, pprof labels and
+// result reuse; label names it in failure records and profiles. A
+// failed run is an error under either fail mode.
+func RunOne(o Options, label string, spec system.Spec) (system.Result, error) {
+	p := plan{{key: label, member: label, label: label, spec: func() system.Spec { return spec }}}
+	if err := mapRuns(o, p); err != nil {
+		return system.Result{}, err
+	}
+	if p[0].res == nil {
+		return system.Result{}, fmt.Errorf("%s: run failed", label)
+	}
+	return *p[0].res, nil
+}
+
 // runSpec is how mapRuns simulates a cell: system.Run, which tests
 // swap for a counting wrapper to see which cells simulated and which
 // replayed.
 var runSpec = system.Run
 
 // mapRuns runs a plan as one sweep over o.Parallelism workers — the one
-// place sweep cells execute — under parallel.MapPolicy with o.Res's
-// settings (nil is the zero Resilience), and stores each healthy
-// cell's Result in its res field. A cell builds its spec and digest
-// once, in its worker; it replays a result the campaign's memory or the
-// store holds, and otherwise simulates under its limits and injected
-// fault. A cell repeating an earlier cell's spec first waits for that
-// cell, so it replays whatever -j 1 would: simulation counts, and which
-// injected faults fire, are the same at every width. Failures are
-// logged as report records. Under fail-fast the first one is returned
-// as a *parallel.TaskError wrapping the cell's error; under collect the
-// sweep completes and failed cells keep a nil res. Progress sees
-// completions in schedule order and never influences results.
+// place cells execute, RunOne's single cell among them — under
+// parallel.MapPolicy with o.Res's settings (nil is the zero
+// Resilience), and stores each healthy cell's Result in its res field.
+// A cell builds its spec and digest once, in its worker; unless its
+// spec carries an observer, it replays a result the campaign's memory
+// or the store holds, and otherwise simulates under its limits and
+// injected fault. A cell repeating an earlier cell's spec first waits
+// for that cell, so it replays whatever -j 1 would: simulation counts,
+// and which injected faults fire, are the same at every width.
+// Failures are logged as report records. Under fail-fast the first one
+// is returned as a *parallel.TaskError wrapping the cell's error; under
+// collect the sweep completes and failed cells keep a nil res. Progress
+// sees completions in schedule order and never influences results.
 func mapRuns(o Options, p plan) error {
 	total := len(p)
 	var done atomic.Int64
@@ -266,8 +282,13 @@ func mapRuns(o Options, p plan) error {
 			}
 			// The lookup precedes injection: a cell already simulated by
 			// this campaign or held by the store is not re-run, so it
-			// cannot re-fire an injected fault.
-			res, ok := r.storeLookup(key)
+			// cannot re-fire an injected fault. A cell with an observer
+			// always simulates: its artifacts need the run.
+			var res system.Result
+			ok := false
+			if spec.Obs == nil {
+				res, ok = r.storeLookup(key)
+			}
 			if !ok {
 				g := base + i
 				var err error

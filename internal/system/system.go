@@ -292,17 +292,8 @@ func subStats(a, b memctrl.Stats) memctrl.Stats {
 // its instruction budget. It returns an error if the simulation stops
 // making progress before completion (a model bug, not a user error).
 func Run(spec Spec) (Result, error) {
-	if err := spec.Sys.Validate(); err != nil {
-		return Result{}, fmt.Errorf("system: %w", err)
-	}
-	if len(spec.Profiles) != spec.Sys.Cores {
-		return Result{}, fmt.Errorf("system: %d profiles for %d cores", len(spec.Profiles), spec.Sys.Cores)
-	}
-	if spec.InstrPerCore == 0 {
-		return Result{}, fmt.Errorf("system: zero instruction budget")
-	}
-	if spec.WarmupInstr >= spec.InstrPerCore {
-		return Result{}, fmt.Errorf("system: warm-up %d >= budget %d", spec.WarmupInstr, spec.InstrPerCore)
+	if err := spec.Validate(); err != nil {
+		return Result{}, err
 	}
 	m := build(spec)
 	defer releaseMachine(m)

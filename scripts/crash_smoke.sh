@@ -135,10 +135,11 @@ grep -q 'store: .* [1-9][0-9]* quarantined' "$OUT/heal.err" || {
 echo "crash smoke: phase 4 ok (flipped byte quarantined, cell re-simulated, report byte-identical)"
 
 # --- Phase 5: a tripped limit flushes -exp run's artifacts ------------
-# The event budget trips long before 200k instructions retire, so the run
-# fails and must still write all three artifacts, each valid JSON.
+# The event budget trips long before the spec's 240k instructions
+# retire, so the run fails and must still write all three artifacts,
+# each valid JSON, and print its failure on stderr once.
 rc=0
-"$OUT/microbank" -exp run -instr 200000 -event-budget 20000 \
+"$OUT/microbank" -exp run -spec examples/specs/mcf_lpddr-tsi_1x1.json -event-budget 20000 \
     -trace "$OUT/t.json" -metrics-out "$OUT/m.json" -report "$OUT/r.json" \
     >/dev/null 2>"$OUT/run.err" || rc=$?
 [ "$rc" -ne 0 ] || {
@@ -148,6 +149,9 @@ for f in t.json m.json r.json; do
         echo "crash smoke: aborted -exp run left $f missing or invalid" >&2
         cat "$OUT/run.err" >&2; exit 1; }
 done
+[ "$(grep -c 'event budget 20000 exhausted' "$OUT/run.err")" -eq 1 ] || {
+    echo "crash smoke: -exp run did not print its failure exactly once" >&2
+    cat "$OUT/run.err" >&2; exit 1; }
 jq -e '.otherData.aborted | length > 0' "$OUT/t.json" >/dev/null || {
     echo "crash smoke: aborted trace lacks otherData.aborted" >&2; exit 1; }
 jq -e '.aborted | length > 0' "$OUT/r.json" >/dev/null || {
